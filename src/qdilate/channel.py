@@ -125,13 +125,16 @@ class CanonicalDecomposition:
                 raise DimensionMismatch(
                     f"eigen-operator shape {t.op.shape} does not match dim {self.dim}"
                 )
-        for a in range(len(terms)):
-            for b in range(a + 1, len(terms)):
-                overlap = abs(np.trace(dagger(terms[a].op) @ terms[b].op))
-                if overlap > 1e-9:
-                    raise ValidationError(
-                        f"eigen-operators {a} and {b} are not HS-orthogonal ({overlap:.3e})"
-                    )
+        # overlaps[a, b] = |tr(L_a^dagger L_b)| for a < b, from one Gram product;
+        # the first offending pair in (a, b) order is reported.
+        ops = np.array([t.op for t in terms]).reshape(len(terms), self.dim**2)
+        overlaps = np.triu(np.abs(ops.conj() @ ops.T), 1)
+        offending = np.argwhere(overlaps > 1e-9)
+        if len(offending):
+            a, b = offending[0]
+            raise ValidationError(
+                f"eigen-operators {a} and {b} are not HS-orthogonal ({overlaps[a, b]:.3e})"
+            )
 
     @property
     def rank(self) -> int:
@@ -170,8 +173,12 @@ def map_from_kraus(terms, dim: int) -> DynamicalMap:
     return DynamicalMap(bmat)
 
 
-def _state_matrix(rho) -> np.ndarray:
-    return rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+def state_matrix(rho, dim: int) -> np.ndarray:
+    """A DensityMatrix or array-like state as a complex dim x dim matrix."""
+    mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
+    if mat.shape != (dim, dim):
+        raise DimensionMismatch(f"state shape {mat.shape} does not match dim {dim}")
+    return mat
 
 
 def apply_map(dmap: DynamicalMap, rho) -> np.ndarray:
@@ -180,10 +187,8 @@ def apply_map(dmap: DynamicalMap, rho) -> np.ndarray:
     The output is a plain matrix; it has unit trace only if the map is
     trace-preserving.
     """
-    mat = _state_matrix(rho)
     n = dmap.dim
-    if mat.shape != (n, n):
-        raise DimensionMismatch(f"state shape {mat.shape} does not match map dim {n}")
+    mat = state_matrix(rho, n)
     b4 = dmap.bmat.reshape(n, n, n, n)
     return np.einsum("rpsq,pq->rs", b4, mat)
 

@@ -14,8 +14,6 @@ import hashlib
 import json
 import sys
 
-import numpy as np
-
 from .channel import (
     TRUNCATION_TOL,
     canonical_decompose,
@@ -43,7 +41,7 @@ from .io import (
     save_channel_spec,
     save_instrument_spec,
 )
-from .linalg import DEFAULT_TOL, dagger, max_abs
+from .linalg import DEFAULT_TOL, max_abs
 
 
 def _digest(path) -> dict:
@@ -84,10 +82,6 @@ def _seed_int(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"seed must be non-negative, got {text}")
     return value
-
-
-def _unitarity_residual(u: np.ndarray) -> float:
-    return max_abs(dagger(u) @ u - np.eye(u.shape[0]))
 
 
 def _outcome_rows(outcomes) -> list:
@@ -148,26 +142,19 @@ def _cmd_decompose(args, inputs, options):
 
 def _cmd_dilate(args, inputs, options):
     if args.channel is not None:
-        dmap = _load_channel(args.channel, inputs)
-        du = build_dilation_unitary(canonical_decompose(dmap))
-        return {
-            "kind": "channel",
-            "sys_dim": du.sys_dim,
-            "anc_dim": du.anc_dim,
-            "iso_cols": du.iso_cols,
-            "unitarity_residual": _unitarity_residual(du.u),
-            "unitary": encode_matrix(du.u),
-        }
-    inst = _load_instrument(args.instrument, inputs)
-    dil = build_instrument_dilation(inst)
+        kind = "channel"
+        dil = build_dilation_unitary(canonical_decompose(_load_channel(args.channel, inputs)))
+    else:
+        kind = "instrument"
+        dil = build_instrument_dilation(_load_instrument(args.instrument, inputs))
     return {
-        "kind": "instrument",
+        "kind": kind,
         "sys_dim": dil.sys_dim,
         "anc_dim": dil.anc_dim,
         "sectors": [
             {"label": s.label, "start": s.start, "stop": s.stop} for s in dil.sectors
         ],
-        "unitarity_residual": _unitarity_residual(dil.u),
+        "unitarity_residual": dil.unitarity_residual,
         "unitary": encode_matrix(dil.u),
     }
 

@@ -1,27 +1,30 @@
-"""Realize a CPTP map as a unitary on system + ancilla plus a partial trace.
+"""Realize channels and instruments as one unitary on system + ancilla.
 
-From the canonical decomposition ``rho -> sum_a w_a L_a rho L_a^dagger`` the
-isometry ``|r'>|0> -> sum_{r,a} sqrt(w_a) L_a[r, r'] |r>|a>`` is built on an
-ancilla of dimension nu (the decomposition rank, at most N^2), completed to a
-unitary U, and the map is recovered as ``partial_trace(U (rho (x) |0><0|)
-U^dagger)`` over the ancilla. The completion columns are arbitrary by
-construction; the reduced output never depends on them.
+A set of labeled CP maps with canonical decompositions
+``rho -> sum_a w_a L_a rho L_a^dagger`` is realized by the isometry
+``|r'>|0> -> sum sqrt(w_a) L_a[r, r'] |r>|slot(a)>``, where each map owns an
+ancilla sector of its decomposition rank (at most N^2 slots). The isometry is
+completed to a unitary U, and map i is recovered by evolving
+``U (rho (x) |0><0|) U^dagger`` and tracing out ancilla sector i. A channel is
+the one-sector case, recovered as ``partial_trace_ancilla(U (rho (x) |0><0|)
+U^dagger, nu)``. The completion columns are arbitrary by construction; the reduced
+output never depends on them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .channel import (
     CanonicalDecomposition,
-    DensityMatrix,
     DynamicalMap,
     apply_map,
     canonical_decompose,
     random_density,
+    state_matrix,
 )
 from .errors import (
     DimensionMismatch,
@@ -32,7 +35,6 @@ from .errors import (
 )
 from .linalg import (
     DEFAULT_TOL,
-    CompositeIndexConvention,
     complete_to_unitary,
     dagger,
     kron,
@@ -48,35 +50,69 @@ WEIGHT_CLAMP = 1e-12
 # orthonormal and construction fails early.
 TP_RESIDUAL_TOL = 1e-8
 
+# Label of the single sector of a channel dilation.
+CHANNEL_SECTOR = "channel"
+
+
+@dataclass(frozen=True)
+class Sector:
+    """Half-open ancilla index range [start, stop) owned by one outcome."""
+
+    label: str
+    start: int
+    stop: int
+
+    @property
+    def size(self) -> int:
+        return self.stop - self.start
+
 
 @dataclass(frozen=True, eq=False)
-class DilationUnitary:
-    """Unitary on system (x) ancilla whose first-ancilla-slot columns encode a map."""
+class Dilation:
+    """Unitary on system (x) ancilla with the ancilla laid out in labeled sectors.
+
+    Columns (r', 0) carry the dilation isometry. The sectors partition the
+    ancilla in order, and anc_dim is at most len(sectors) * sys_dim^2. A
+    channel dilation has a single sector.
+    """
 
     sys_dim: int
     anc_dim: int
     u: np.ndarray
-    conv: CompositeIndexConvention
-    iso_cols: int
-    tol: InitVar[float] = DEFAULT_TOL
+    sectors: tuple
+    unitarity_residual: float = field(init=False)
 
-    def __post_init__(self, tol):
+    def __post_init__(self):
         u = np.asarray(self.u, dtype=complex)
         object.__setattr__(self, "u", u)
+        object.__setattr__(self, "sectors", tuple(self.sectors))
+        if self.sys_dim < 1 or self.anc_dim < 1:
+            raise DimensionMismatch(
+                f"dimensions must be positive, got ({self.sys_dim}, {self.anc_dim})"
+            )
         size = self.sys_dim * self.anc_dim
         if u.shape != (size, size):
             raise DimensionMismatch(
                 f"unitary shape {u.shape} does not match sys_dim*anc_dim = {size}"
             )
-        if (self.conv.dim_sys, self.conv.dim_anc) != (self.sys_dim, self.anc_dim):
-            raise DimensionMismatch("index convention does not match declared dims")
-        if self.anc_dim > self.sys_dim**2:
+        cursor = 0
+        for sector in self.sectors:
+            if sector.start != cursor or sector.stop < sector.start:
+                raise ValidationError("sectors must partition the ancilla range in order")
+            cursor = sector.stop
+        if cursor != self.anc_dim:
             raise ValidationError(
-                f"ancilla dim {self.anc_dim} exceeds sys_dim^2 = {self.sys_dim ** 2}"
+                f"sectors cover [0, {cursor}) but the ancilla has dim {self.anc_dim}"
+            )
+        bound = len(self.sectors) * self.sys_dim**2
+        if self.anc_dim > bound:
+            raise ValidationError(
+                f"ancilla dim {self.anc_dim} exceeds num_sectors*sys_dim^2 = {bound}"
             )
         residual = max_abs(dagger(u) @ u - np.eye(size))
-        if residual > tol:
-            raise NotIsometry(f"unitarity residual {residual:.3e} exceeds {tol:.1e}")
+        if residual > DEFAULT_TOL:
+            raise NotIsometry(f"unitarity residual {residual:.3e} exceeds {DEFAULT_TOL:.1e}")
+        object.__setattr__(self, "unitarity_residual", residual)
 
 
 def _sqrt_weights(dec: CanonicalDecomposition, clamp: float) -> list:
@@ -92,80 +128,93 @@ def _sqrt_weights(dec: CanonicalDecomposition, clamp: float) -> list:
     return roots
 
 
-def build_dilation_isometry(dec: CanonicalDecomposition) -> np.ndarray:
-    """The (N*nu) x N isometry with sqrt(w_a) L_a[r, r'] at composite row (r, a).
+def stack_isometry(parts, clamp: float) -> tuple:
+    """Stack sqrt(w) L sector by sector into the (N*nu) x N dilation isometry.
 
-    Column r' is the image of |r'>|0>. Columns are orthonormal exactly when
-    the decomposed map is trace-preserving, so a trace-preservation residual
-    above TP_RESIDUAL_TOL fails early with the physical reason.
+    ``parts`` holds (label, decomposition) pairs, one per sector; returns
+    ``(iso, sectors)`` with sqrt(w_a) L_a[r, r'] at composite row
+    (r, slot of a). Weights below ``-clamp`` raise
+    :class:`NotCompletelyPositive`. The columns are orthonormal exactly when
+    the combined map is trace-preserving, since iso^dagger iso = sum w L^dagger L,
+    so a residual above TP_RESIDUAL_TOL fails early with the physical reason.
     """
-    n = dec.dim
-    nu = dec.rank
-    roots = _sqrt_weights(dec, WEIGHT_CLAMP)
-    effect = sum(
-        (t.weight * (dagger(t.op) @ t.op) for t in dec.terms),
-        start=np.zeros((n, n), dtype=complex),
-    )
-    tp_residual = max_abs(effect - np.eye(n))
+    n = parts[0][1].dim
+    blocks = []
+    sectors = []
+    for label, dec in parts:
+        start = len(blocks)
+        blocks += [root * t.op for root, t in zip(_sqrt_weights(dec, clamp), dec.terms)]
+        sectors.append(Sector(label=label, start=start, stop=len(blocks)))
+    nu = len(blocks)
+    # Composite row r * nu + a holds row r of block a.
+    iso = np.array(blocks, dtype=complex).reshape(nu, n, n).transpose(1, 0, 2)
+    iso = iso.reshape(n * nu, n)
+    tp_residual = max_abs(dagger(iso) @ iso - np.eye(n))
     if tp_residual > TP_RESIDUAL_TOL:
         raise NotTracePreserving(
             f"sum of weighted L^dagger L deviates from identity by {tp_residual:.3e}; "
             "the isometry columns would not be orthonormal"
         )
-    iso = np.zeros((n * nu, n), dtype=complex)
-    for alpha, (root, term) in enumerate(zip(roots, dec.terms)):
-        # Rows (r, alpha) for fixed alpha sit at flat indices alpha, alpha+nu, ...
-        iso[alpha::nu, :] = root * term.op
-    return iso
+    return iso, tuple(sectors)
 
 
-def _assemble_unitary(iso: np.ndarray, conv: CompositeIndexConvention, rng=None) -> np.ndarray:
-    """Complete isometry columns to a unitary, anchored at composite columns (r', 0).
+def complete_dilation(iso: np.ndarray, sectors, rng=None) -> Dilation:
+    """Complete a stacked isometry to a :class:`Dilation` over the given sectors.
 
-    The remaining columns (r', a != 0) take the completion vectors in order;
-    their content is irrelevant to the reduced dynamics.
+    The isometry columns become the unitary's columns (r', 0); the remaining
+    columns (r', a != 0) take the completion vectors in order and do not
+    affect the reduced dynamics. With ``rng`` None the completion scans
+    standard basis vectors, giving a deterministic unitary; a seeded
+    generator draws Gaussian candidate vectors instead.
     """
+    size, n = iso.shape
+    anc_dim = size // n
     u0 = complete_to_unitary(iso, tol=TP_RESIDUAL_TOL, rng=rng)
-    size = conv.size
-    n = conv.dim_sys
-    anchor = [conv.flat(rp, 0) for rp in range(n)]
-    rest = [c for c in range(size) if c not in set(anchor)]
     u = np.empty((size, size), dtype=complex)
-    u[:, anchor] = u0[:, :n]
-    u[:, rest] = u0[:, n:]
-    return u
+    slots = u.reshape(size, n, anc_dim)
+    slots[:, :, 0] = u0[:, :n]
+    slots[:, :, 1:] = u0[:, n:].reshape(size, n, anc_dim - 1)
+    # Free the unplaced copy before the validator's D x D temporaries.
+    del u0
+    return Dilation(sys_dim=n, anc_dim=anc_dim, u=u, sectors=sectors)
 
 
-def build_dilation_unitary(dec: CanonicalDecomposition, rng=None) -> DilationUnitary:
-    """Complete the dilation isometry to a full unitary on system (x) ancilla.
+def joint_state(dil: Dilation, rho) -> np.ndarray:
+    """The joint state ``U (rho (x) |0><0|) U^dagger`` on system (x) ancilla."""
+    mat = state_matrix(rho, dil.sys_dim)
+    anc0 = np.zeros((dil.anc_dim, dil.anc_dim), dtype=complex)
+    anc0[0, 0] = 1.0
+    return dil.u @ kron(mat, anc0) @ dagger(dil.u)
 
-    With ``rng`` None the completion scans standard basis vectors, giving a
-    deterministic unitary; passing a seeded generator draws Gaussian candidate
-    vectors instead, exercising the freedom in the unfixed columns.
+
+def build_dilation_isometry(dec: CanonicalDecomposition) -> np.ndarray:
+    """The (N*nu) x N isometry with sqrt(w_a) L_a[r, r'] at composite row (r, a).
+
+    Column r' is the image of |r'>|0>. A map that is not trace-preserving
+    raises :class:`NotTracePreserving`, one that is not completely positive
+    :class:`NotCompletelyPositive`.
     """
-    iso = build_dilation_isometry(dec)
-    conv = CompositeIndexConvention(dim_sys=dec.dim, dim_anc=dec.rank)
-    u = _assemble_unitary(iso, conv, rng=rng)
-    return DilationUnitary(
-        sys_dim=dec.dim, anc_dim=dec.rank, u=u, conv=conv, iso_cols=dec.dim
-    )
+    return stack_isometry([(CHANNEL_SECTOR, dec)], WEIGHT_CLAMP)[0]
 
 
-def simulate_via_dilation(du: DilationUnitary, rho) -> tuple:
+def build_dilation_unitary(dec: CanonicalDecomposition, rng=None) -> Dilation:
+    """Complete the channel's dilation isometry to a one-sector :class:`Dilation`.
+
+    With ``rng`` None the completion is deterministic; passing a seeded
+    generator exercises the freedom in the unfixed columns.
+    """
+    sectors = (Sector(label=CHANNEL_SECTOR, start=0, stop=dec.rank),)
+    return complete_dilation(build_dilation_isometry(dec), sectors, rng=rng)
+
+
+def simulate_via_dilation(dil: Dilation, rho) -> tuple:
     """Evolve rho (x) |0><0| by the unitary and trace out the ancilla.
 
     Returns ``(joint, reduced)``: the full post-evolution state and its
     system reduction.
     """
-    mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
-    n = du.sys_dim
-    if mat.shape != (n, n):
-        raise DimensionMismatch(f"state shape {mat.shape} does not match sys_dim {n}")
-    anc0 = np.zeros((du.anc_dim, du.anc_dim), dtype=complex)
-    anc0[0, 0] = 1.0
-    joint = du.u @ kron(mat, anc0) @ dagger(du.u)
-    reduced = partial_trace_ancilla(joint, du.conv)
-    return joint, reduced
+    joint = joint_state(dil, rho)
+    return joint, partial_trace_ancilla(joint, dil.anc_dim)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ appending a discard map carrying the leftover effect.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,23 +24,15 @@ from .channel import (
     map_from_kraus,
     povm_effect,
 )
-from .dilation import _assemble_unitary, _sqrt_weights
+from .dilation import Dilation, complete_dilation, joint_state, stack_isometry
 from .errors import (
     DimensionMismatch,
     Incomplete,
     NotCompletelyPositive,
-    NotIsometry,
     OverComplete,
     ValidationError,
 )
-from .linalg import (
-    DEFAULT_TOL,
-    CompositeIndexConvention,
-    dagger,
-    kron,
-    max_abs,
-    psd_sqrt,
-)
+from .linalg import DEFAULT_TOL, dagger, max_abs, psd_sqrt
 
 # Member maps may dip this far below CP from eigen-solver noise.
 MEMBER_CP_TOL = 1e-10
@@ -113,60 +105,6 @@ class Instrument:
     @property
     def labels(self) -> tuple:
         return tuple(label for label, _ in self.maps)
-
-
-@dataclass(frozen=True)
-class Sector:
-    """Half-open ancilla index range [start, stop) owned by one outcome."""
-
-    label: str
-    start: int
-    stop: int
-
-    @property
-    def size(self) -> int:
-        return self.stop - self.start
-
-
-@dataclass(frozen=True, eq=False)
-class InstrumentDilation:
-    """Joint unitary plus the ancilla sector layout of its outcomes."""
-
-    sys_dim: int
-    anc_dim: int
-    u: np.ndarray
-    sectors: tuple
-    conv: CompositeIndexConvention
-    tol: InitVar[float] = DEFAULT_TOL
-
-    def __post_init__(self, tol):
-        u = np.asarray(self.u, dtype=complex)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "sectors", tuple(self.sectors))
-        size = self.sys_dim * self.anc_dim
-        if u.shape != (size, size):
-            raise DimensionMismatch(
-                f"unitary shape {u.shape} does not match sys_dim*anc_dim = {size}"
-            )
-        if (self.conv.dim_sys, self.conv.dim_anc) != (self.sys_dim, self.anc_dim):
-            raise DimensionMismatch("index convention does not match declared dims")
-        cursor = 0
-        for sector in self.sectors:
-            if sector.start != cursor or sector.stop < sector.start:
-                raise ValidationError("sectors must partition the ancilla range in order")
-            cursor = sector.stop
-        if cursor != self.anc_dim:
-            raise ValidationError(
-                f"sectors cover [0, {cursor}) but the ancilla has dim {self.anc_dim}"
-            )
-        bound = len(self.sectors) * self.sys_dim**2
-        if self.anc_dim > bound:
-            raise ValidationError(
-                f"ancilla dim {self.anc_dim} exceeds num_outcomes*sys_dim^2 = {bound}"
-            )
-        residual = max_abs(dagger(u) @ u - np.eye(size))
-        if residual > tol:
-            raise NotIsometry(f"unitarity residual {residual:.3e} exceeds {tol:.1e}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -242,7 +180,7 @@ def pad_to_complete(inst: Instrument) -> Instrument:
     )
 
 
-def build_instrument_dilation(inst: Instrument, rng=None) -> InstrumentDilation:
+def build_instrument_dilation(inst: Instrument, rng=None) -> Dilation:
     """Combine all outcome maps into one unitary with sector-labeled ancilla.
 
     Each outcome map is eigen-decomposed; outcome i owns an ancilla sector of
@@ -251,49 +189,26 @@ def build_instrument_dilation(inst: Instrument, rng=None) -> InstrumentDilation:
     every term of every outcome, and is orthonormal exactly because the total
     effect is the identity.
     """
-    complete, defect = check_completeness(inst)
-    if not complete:
+    if not inst.complete:
+        _, defect = check_completeness(inst)
         raise Incomplete(
             f"total effect deviates from identity by {max_abs(defect):.3e}; "
             "pad the instrument before building its dilation"
         )
-    n = inst.dim
-    decs = [canonical_decompose(dmap) for _, dmap in inst.maps]
-    sectors = []
-    cursor = 0
-    for (label, _), dec in zip(inst.maps, decs):
-        sectors.append(Sector(label=label, start=cursor, stop=cursor + dec.rank))
-        cursor += dec.rank
-    anc_dim = cursor
-    iso = np.zeros((n * anc_dim, n), dtype=complex)
-    for sector, dec in zip(sectors, decs):
-        roots = _sqrt_weights(dec, MEMBER_CP_TOL)
-        for alpha, (root, term) in enumerate(zip(roots, dec.terms)):
-            slot = sector.start + alpha
-            iso[slot::anc_dim, :] = root * term.op
-    conv = CompositeIndexConvention(dim_sys=n, dim_anc=anc_dim)
-    u = _assemble_unitary(iso, conv, rng=rng)
-    return InstrumentDilation(
-        sys_dim=n, anc_dim=anc_dim, u=u, sectors=tuple(sectors), conv=conv
-    )
+    parts = [(label, canonical_decompose(dmap)) for label, dmap in inst.maps]
+    return complete_dilation(*stack_isometry(parts, MEMBER_CP_TOL), rng=rng)
 
 
 def measure_via_dilation(
-    dil: InstrumentDilation, rho, threshold: float = POST_STATE_THRESHOLD
+    dil: Dilation, rho, threshold: float = POST_STATE_THRESHOLD
 ) -> tuple:
     """Evolve rho (x) |0><0| jointly, then project the ancilla sector by sector.
 
     For each outcome the ancilla is projected onto its sector and traced out,
     giving the weighted system state whose trace is the outcome probability.
     """
-    mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     n = dil.sys_dim
-    if mat.shape != (n, n):
-        raise DimensionMismatch(f"state shape {mat.shape} does not match sys_dim {n}")
-    anc0 = np.zeros((dil.anc_dim, dil.anc_dim), dtype=complex)
-    anc0[0, 0] = 1.0
-    joint = dil.u @ kron(mat, anc0) @ dagger(dil.u)
-    j4 = joint.reshape(n, dil.anc_dim, n, dil.anc_dim)
+    j4 = joint_state(dil, rho).reshape(n, dil.anc_dim, n, dil.anc_dim)
     results = []
     for sector in dil.sectors:
         block = j4[:, sector.start : sector.stop, :, sector.start : sector.stop]
@@ -313,7 +228,7 @@ def outcome_statistics(
     return tuple(results)
 
 
-def sample_outcomes(dil: InstrumentDilation, rho, shots: int, seed) -> dict:
+def sample_outcomes(dil: Dilation, rho, shots: int, seed) -> dict:
     """Draw outcome counts from the dilation statistics by inverse CDF.
 
     Counts always sum to shots and are identical for identical seeds. Zero

@@ -2,13 +2,11 @@
 
 Everything here operates on plain ``numpy`` arrays. Matrices on a composite
 system-plus-ancilla space use a single flat index with the system index slow
-and the ancilla index fast (see :class:`CompositeIndexConvention`), which is
+and the ancilla index fast, ``|r>|alpha> -> r * dim_anc + alpha``, which is
 the ordering produced by ``kron(system, ancilla)``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,40 +41,21 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a), np.asarray(b))
 
 
-@dataclass(frozen=True)
-class CompositeIndexConvention:
-    """Flat indexing for system x ancilla: |r>|alpha>  ->  r * dim_anc + alpha."""
-
-    dim_sys: int
-    dim_anc: int
-
-    def __post_init__(self):
-        if self.dim_sys < 1 or self.dim_anc < 1:
-            raise DimensionMismatch(
-                f"dimensions must be positive, got ({self.dim_sys}, {self.dim_anc})"
-            )
-
-    @property
-    def size(self) -> int:
-        return self.dim_sys * self.dim_anc
-
-    def flat(self, r: int, alpha: int) -> int:
-        return r * self.dim_anc + alpha
-
-
-def partial_trace_ancilla(m: np.ndarray, conv: CompositeIndexConvention) -> np.ndarray:
+def partial_trace_ancilla(m: np.ndarray, dim_anc: int) -> np.ndarray:
     """Trace out the ancilla factor of a composite-space matrix.
 
-    Returns the dim_sys x dim_sys matrix with entries
-    ``out[r, s] = sum_alpha m[(r, alpha), (s, alpha)]``.
+    Returns the dim_sys x dim_sys matrix, dim_sys = side / dim_anc, with
+    entries ``out[r, s] = sum_alpha m[(r, alpha), (s, alpha)]``.
     """
     m = np.asarray(m)
-    if m.shape != (conv.size, conv.size):
+    side = m.shape[0] if m.ndim == 2 and m.shape[0] == m.shape[1] else 0
+    if dim_anc < 1 or side < 1 or side % dim_anc:
         raise DimensionMismatch(
-            f"matrix side {m.shape} does not match {conv.dim_sys}*{conv.dim_anc}"
+            f"matrix shape {m.shape} is not square with a side that is a positive "
+            f"multiple of dim_anc = {dim_anc}"
         )
-    m4 = m.reshape(conv.dim_sys, conv.dim_anc, conv.dim_sys, conv.dim_anc)
-    return np.einsum("rasa->rs", m4)
+    n = side // dim_anc
+    return np.einsum("rasa->rs", m.reshape(n, dim_anc, n, dim_anc))
 
 
 def _fix_phase(col: np.ndarray) -> np.ndarray:

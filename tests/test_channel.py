@@ -241,6 +241,17 @@ def test_canonical_decomposition_requires_orthogonal_operators():
         q.CanonicalDecomposition(dim=2, terms=(t0, t0))
 
 
+def test_canonical_decomposition_names_the_overlapping_pair():
+    terms = (
+        q.KrausTerm(1.0, P0),
+        q.KrausTerm(1.0, P1),
+        q.KrausTerm(1.0, X / np.sqrt(2)),
+        q.KrausTerm(1.0, (P1 + X) / np.sqrt(3)),
+    )
+    with pytest.raises(q.ValidationError, match="eigen-operators 1 and 3 "):
+        q.CanonicalDecomposition(dim=2, terms=terms)
+
+
 def test_random_density_is_valid_and_deterministic():
     a = q.random_density(4, 77)
     b = q.random_density(4, 77)

@@ -37,10 +37,9 @@ def test_identity_channel_unitary_is_identity():
 def test_dephasing_isometry_copies_basis_index():
     dec = q.canonical_decompose(dephasing_map())
     iso = q.build_dilation_isometry(dec)
-    conv = q.CompositeIndexConvention(dim_sys=2, dim_anc=2)
     expected = np.zeros((4, 2), dtype=complex)
-    expected[conv.flat(0, 0), 0] = 1.0
-    expected[conv.flat(1, 1), 1] = 1.0
+    expected[0 * 2 + 0, 0] = 1.0
+    expected[1 * 2 + 1, 1] = 1.0
     assert q.max_abs(iso - expected) < 1e-12
 
 
@@ -81,7 +80,7 @@ def test_unitary_first_slot_columns_match_isometry():
     iso = q.build_dilation_isometry(dec)
     du = q.build_dilation_unitary(dec)
     for rp in range(3):
-        col = du.u[:, du.conv.flat(rp, 0)]
+        col = du.u[:, rp * du.anc_dim + 0]
         assert q.max_abs(col - iso[:, rp]) < 1e-12
 
 
@@ -159,12 +158,53 @@ def test_verify_dilation_deterministic_under_seed():
 
 
 def test_dilation_unitary_type_rejects_non_unitary():
-    conv = q.CompositeIndexConvention(dim_sys=2, dim_anc=1)
     with pytest.raises(q.NotIsometry):
-        q.DilationUnitary(sys_dim=2, anc_dim=1, u=np.ones((2, 2)), conv=conv, iso_cols=2)
+        q.Dilation(sys_dim=2, anc_dim=1, u=np.ones((2, 2)), sectors=(q.Sector("all", 0, 1),))
 
 
 def test_dilation_unitary_type_rejects_oversized_ancilla():
-    conv = q.CompositeIndexConvention(dim_sys=2, dim_anc=5)
     with pytest.raises(q.ValidationError):
-        q.DilationUnitary(sys_dim=2, anc_dim=5, u=np.eye(10), conv=conv, iso_cols=2)
+        q.Dilation(sys_dim=2, anc_dim=5, u=np.eye(10), sectors=(q.Sector("all", 0, 5),))
+
+
+@pytest.mark.parametrize(
+    "sectors",
+    [
+        ((0, 2), (3, 4)),  # gap
+        ((0, 2), (1, 4)),  # overlap
+        ((0, 3), (3, 2)),  # reversed range
+        ((0, 2), (2, 3)),  # stops short of anc_dim
+        ((0, 2), (2, 5)),  # runs past anc_dim
+    ],
+)
+def test_dilation_type_rejects_sectors_that_do_not_partition_the_ancilla(sectors):
+    with pytest.raises(q.ValidationError):
+        q.Dilation(
+            sys_dim=2,
+            anc_dim=4,
+            u=np.eye(8),
+            sectors=tuple(q.Sector(f"s{i}", a, b) for i, (a, b) in enumerate(sectors)),
+        )
+
+
+def test_dilation_type_bounds_ancilla_by_sector_count():
+    # Two sectors allow at most 2 * 2^2 = 8 ancilla slots; three allow 12.
+    two = (q.Sector("a", 0, 4), q.Sector("b", 4, 9))
+    with pytest.raises(q.ValidationError):
+        q.Dilation(sys_dim=2, anc_dim=9, u=np.eye(18), sectors=two)
+    three = (q.Sector("a", 0, 4), q.Sector("b", 4, 8), q.Sector("c", 8, 9))
+    dil = q.Dilation(sys_dim=2, anc_dim=9, u=np.eye(18), sectors=three)
+    assert dil.unitarity_residual == 0.0
+
+
+def test_dilation_type_rejects_empty_ancilla():
+    with pytest.raises(q.DimensionMismatch):
+        q.Dilation(sys_dim=2, anc_dim=0, u=np.zeros((0, 0)), sectors=())
+
+
+def test_channel_dilation_is_one_sector_with_stored_residual():
+    du = q.build_dilation_unitary(q.canonical_decompose(q.random_cptp(3, 5, 55)))
+    assert [(s.start, s.stop) for s in du.sectors] == [(0, 5)]
+    u = du.u
+    assert du.unitarity_residual == q.max_abs(q.dagger(u) @ u - np.eye(15))
+    assert du.unitarity_residual <= 1e-10

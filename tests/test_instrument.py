@@ -110,12 +110,12 @@ def test_basis_instrument_dilation_layout():
     dil = q.build_instrument_dilation(basis_instrument())
     assert dil.anc_dim == 2
     assert [(s.label, s.start, s.stop) for s in dil.sectors] == [("0", 0, 1), ("1", 1, 2)]
-    conv = dil.conv
-    # The fixed columns copy the basis index into the ancilla sector.
-    assert q.max_abs(dil.u[:, conv.flat(0, 0)] - np.eye(4)[conv.flat(0, 0)]) < 1e-12
+    # The fixed columns copy the basis index into the ancilla sector; the
+    # composite index of |r>|a> is r * anc_dim + a.
+    assert q.max_abs(dil.u[:, 0 * 2 + 0] - np.eye(4)[0 * 2 + 0]) < 1e-12
     expected = np.zeros(4)
-    expected[conv.flat(1, 1)] = 1.0
-    assert q.max_abs(dil.u[:, conv.flat(1, 0)] - expected) < 1e-12
+    expected[1 * 2 + 1] = 1.0
+    assert q.max_abs(dil.u[:, 1 * 2 + 0] - expected) < 1e-12
 
 
 def test_instrument_dilation_requires_completeness():

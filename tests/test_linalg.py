@@ -22,23 +22,27 @@ def test_dagger_is_conjugate_transpose():
 def test_kron_ordering_system_slow_ancilla_fast():
     a = np.array([[1, 2], [3, 4]], dtype=complex)
     b = np.array([[5, 6], [7, 8]], dtype=complex)
-    conv = q.CompositeIndexConvention(dim_sys=2, dim_anc=2)
     k = q.kron(a, b)
     for r in range(2):
         for s in range(2):
             for al in range(2):
                 for be in range(2):
-                    assert k[conv.flat(r, al), conv.flat(s, be)] == a[r, s] * b[al, be]
+                    assert k[r * 2 + al, s * 2 + be] == a[r, s] * b[al, be]
 
 
-def test_composite_index_convention():
-    conv = q.CompositeIndexConvention(dim_sys=3, dim_anc=4)
-    assert conv.size == 12
-    assert conv.flat(0, 0) == 0
-    assert conv.flat(1, 0) == 4
-    assert conv.flat(2, 3) == 11
+@pytest.mark.parametrize(
+    "m, dim_anc",
+    [
+        (np.eye(4), 0),  # non-positive ancilla dimension
+        (np.eye(4), -2),
+        (np.zeros((0, 0)), 2),  # non-positive system dimension
+        (np.eye(6), 4),  # dim_anc does not divide the side
+        (np.zeros((4, 6)), 2),  # not square
+    ],
+)
+def test_partial_trace_rejects_bad_dimensions(m, dim_anc):
     with pytest.raises(q.DimensionMismatch):
-        q.CompositeIndexConvention(dim_sys=0, dim_anc=2)
+        q.partial_trace_ancilla(m, dim_anc)
 
 
 def test_partial_trace_of_product_state_returns_system_factor():
@@ -46,25 +50,22 @@ def test_partial_trace_of_product_state_returns_system_factor():
     for _ in range(5):
         sys = random_hermitian(3, rng)
         anc = random_hermitian(2, rng)
-        conv = q.CompositeIndexConvention(dim_sys=3, dim_anc=2)
-        reduced = q.partial_trace_ancilla(q.kron(sys, anc), conv)
+        reduced = q.partial_trace_ancilla(q.kron(sys, anc), 2)
         assert q.max_abs(reduced - sys * np.trace(anc)) < 1e-12
 
 
 def test_partial_trace_of_maximally_entangled_state_is_maximally_mixed():
-    conv = q.CompositeIndexConvention(dim_sys=2, dim_anc=2)
     vec = np.zeros(4, dtype=complex)
-    vec[conv.flat(0, 0)] = 1 / np.sqrt(2)
-    vec[conv.flat(1, 1)] = 1 / np.sqrt(2)
-    reduced = q.partial_trace_ancilla(np.outer(vec, vec.conj()), conv)
+    vec[0 * 2 + 0] = 1 / np.sqrt(2)
+    vec[1 * 2 + 1] = 1 / np.sqrt(2)
+    reduced = q.partial_trace_ancilla(np.outer(vec, vec.conj()), 2)
     assert q.max_abs(reduced - IDENTITY2 / 2) < 1e-12
 
 
 def test_partial_trace_preserves_trace():
     rng = np.random.default_rng(4)
-    conv = q.CompositeIndexConvention(dim_sys=2, dim_anc=3)
     m = random_hermitian(6, rng)
-    reduced = q.partial_trace_ancilla(m, conv)
+    reduced = q.partial_trace_ancilla(m, 3)
     assert abs(np.trace(reduced) - np.trace(m)) < 1e-12
 
 
