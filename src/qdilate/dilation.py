@@ -7,8 +7,9 @@ ancilla sector of its decomposition rank (at most N^2 slots). The isometry is
 completed to a unitary U, and map i is recovered by evolving
 ``U (rho (x) |0><0|) U^dagger`` and tracing out ancilla sector i. A channel is
 the one-sector case, recovered as ``partial_trace_ancilla(U (rho (x) |0><0|)
-U^dagger, nu)``. The completion columns are arbitrary by construction; the reduced
-output never depends on them.
+U^dagger, nu)``. Since rho (x) |0><0| lives on the columns (r', 0), that joint
+state is ``V rho V^dagger`` with V those isometry columns of U: evolution reads
+only V, and the completion columns, arbitrary by construction, never affect it.
 """
 
 from __future__ import annotations
@@ -37,14 +38,9 @@ from .linalg import (
     DEFAULT_TOL,
     complete_to_unitary,
     dagger,
-    kron,
     max_abs,
     partial_trace_ancilla,
 )
-
-# Eigen-solver noise on genuinely CP maps: weights this far below zero are
-# treated as zero before taking square roots.
-WEIGHT_CLAMP = 1e-12
 
 # Trace-preservation residual above which the isometry columns cannot be
 # orthonormal and construction fails early.
@@ -114,12 +110,23 @@ class Dilation:
             raise NotIsometry(f"unitarity residual {residual:.3e} exceeds {DEFAULT_TOL:.1e}")
         object.__setattr__(self, "unitarity_residual", residual)
 
+    @property
+    def isometry(self) -> np.ndarray:
+        """The (N*anc_dim) x N isometry: U's columns (r', 0), as a view of u."""
+        size = self.sys_dim * self.anc_dim
+        return self.u.reshape(size, self.sys_dim, self.anc_dim)[:, :, 0]
 
-def _sqrt_weights(dec: CanonicalDecomposition, clamp: float) -> list:
-    """Square roots of the weights, clamping eigen-noise negatives to zero."""
+
+def _sqrt_weights(dec: CanonicalDecomposition) -> list:
+    """Square roots of the weights, clamping eigen-noise negatives to zero.
+
+    A weight below -DEFAULT_TOL raises; that is the bound at which
+    ``check_properties`` and ``Instrument`` call a map not CP, so a map dilates
+    as a channel exactly when it does as a one-outcome instrument.
+    """
     roots = []
     for t in dec.terms:
-        if t.weight < -clamp:
+        if t.weight < -DEFAULT_TOL:
             raise NotCompletelyPositive(
                 f"negative weight {t.weight:.6g} has no real square root; "
                 "the map is not completely positive"
@@ -128,12 +135,12 @@ def _sqrt_weights(dec: CanonicalDecomposition, clamp: float) -> list:
     return roots
 
 
-def stack_isometry(parts, clamp: float) -> tuple:
+def stack_isometry(parts) -> tuple:
     """Stack sqrt(w) L sector by sector into the (N*nu) x N dilation isometry.
 
     ``parts`` holds (label, decomposition) pairs, one per sector; returns
     ``(iso, sectors)`` with sqrt(w_a) L_a[r, r'] at composite row
-    (r, slot of a). Weights below ``-clamp`` raise
+    (r, slot of a). Weights below ``-DEFAULT_TOL`` raise
     :class:`NotCompletelyPositive`. The columns are orthonormal exactly when
     the combined map is trace-preserving, since iso^dagger iso = sum w L^dagger L,
     so a residual above TP_RESIDUAL_TOL fails early with the physical reason.
@@ -143,7 +150,7 @@ def stack_isometry(parts, clamp: float) -> tuple:
     sectors = []
     for label, dec in parts:
         start = len(blocks)
-        blocks += [root * t.op for root, t in zip(_sqrt_weights(dec, clamp), dec.terms)]
+        blocks += [root * t.op for root, t in zip(_sqrt_weights(dec), dec.terms)]
         sectors.append(Sector(label=label, start=start, stop=len(blocks)))
     nu = len(blocks)
     # Composite row r * nu + a holds row r of block a.
@@ -161,11 +168,11 @@ def stack_isometry(parts, clamp: float) -> tuple:
 def complete_dilation(iso: np.ndarray, sectors, rng=None) -> Dilation:
     """Complete a stacked isometry to a :class:`Dilation` over the given sectors.
 
-    The isometry columns become the unitary's columns (r', 0); the remaining
-    columns (r', a != 0) take the completion vectors in order and do not
-    affect the reduced dynamics. With ``rng`` None the completion scans
-    standard basis vectors, giving a deterministic unitary; a seeded
-    generator draws Gaussian candidate vectors instead.
+    The isometry columns become the unitary's columns (r', 0), bit for bit;
+    the remaining columns (r', a != 0) take the Householder complement of
+    :func:`complete_to_unitary` in order and do not affect the reduced
+    dynamics. With ``rng`` None the unitary is deterministic; a seeded
+    generator mixes the complement with seeded reflectors.
     """
     size, n = iso.shape
     anc_dim = size // n
@@ -180,11 +187,13 @@ def complete_dilation(iso: np.ndarray, sectors, rng=None) -> Dilation:
 
 
 def joint_state(dil: Dilation, rho) -> np.ndarray:
-    """The joint state ``U (rho (x) |0><0|) U^dagger`` on system (x) ancilla."""
-    mat = state_matrix(rho, dil.sys_dim)
-    anc0 = np.zeros((dil.anc_dim, dil.anc_dim), dtype=complex)
-    anc0[0, 0] = 1.0
-    return dil.u @ kron(mat, anc0) @ dagger(dil.u)
+    """The joint state ``U (rho (x) |0><0|) U^dagger`` on system (x) ancilla.
+
+    Computed as ``V rho V^dagger`` from the isometry columns V of U, in
+    O(D^2 N) rather than the O(D^3) of the full product.
+    """
+    v = dil.isometry
+    return v @ state_matrix(rho, dil.sys_dim) @ dagger(v)
 
 
 def build_dilation_isometry(dec: CanonicalDecomposition) -> np.ndarray:
@@ -194,7 +203,7 @@ def build_dilation_isometry(dec: CanonicalDecomposition) -> np.ndarray:
     raises :class:`NotTracePreserving`, one that is not completely positive
     :class:`NotCompletelyPositive`.
     """
-    return stack_isometry([(CHANNEL_SECTOR, dec)], WEIGHT_CLAMP)[0]
+    return stack_isometry([(CHANNEL_SECTOR, dec)])[0]
 
 
 def build_dilation_unitary(dec: CanonicalDecomposition, rng=None) -> Dilation:

@@ -21,10 +21,6 @@ class NotIsometry(QDilateError):
     """Columns are not orthonormal (or a completed matrix is not unitary)."""
 
 
-class RankDeficient(QDilateError):
-    """Unitary completion ran out of independent directions."""
-
-
 class NotCompletelyPositive(QDilateError):
     """Map has a negative canonical weight; no square root exists."""
 

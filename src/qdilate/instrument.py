@@ -23,8 +23,9 @@ from .channel import (
     canonical_decompose,
     map_from_kraus,
     povm_effect,
+    state_matrix,
 )
-from .dilation import Dilation, complete_dilation, joint_state, stack_isometry
+from .dilation import Dilation, complete_dilation, stack_isometry
 from .errors import (
     DimensionMismatch,
     Incomplete,
@@ -34,9 +35,6 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOL, dagger, max_abs, psd_sqrt
 
-# Member maps may dip this far below CP from eigen-solver noise.
-MEMBER_CP_TOL = 1e-10
-
 # Total-effect deviation from identity below which a set counts as complete.
 COMPLETENESS_TOL = 1e-8
 
@@ -45,6 +43,10 @@ PAD_PSD_TOL = 1e-9
 
 # Outcomes with probability at or below this get no normalized post state.
 POST_STATE_THRESHOLD = 1e-12
+
+# Draws per chunk in sample_outcomes; bounds its memory (about 16 bytes a
+# draw) whatever the shot count.
+SAMPLE_CHUNK = 1 << 20
 
 
 def _normalized_maps(maps) -> tuple:
@@ -88,7 +90,9 @@ class Instrument:
             min_eig = float(
                 np.linalg.eigvalsh((dmap.bmat + dagger(dmap.bmat)) / 2).min()
             )
-            if min_eig < -MEMBER_CP_TOL:
+            # Eigen-solver noise on a CP map stays above -DEFAULT_TOL, the
+            # bound check_properties and the dilation builders also use.
+            if min_eig < -DEFAULT_TOL:
                 raise NotCompletelyPositive(
                     f"outcome {label!r} is not completely positive "
                     f"(min eigenvalue {min_eig:.3e})"
@@ -196,7 +200,7 @@ def build_instrument_dilation(inst: Instrument, rng=None) -> Dilation:
             "pad the instrument before building its dilation"
         )
     parts = [(label, canonical_decompose(dmap)) for label, dmap in inst.maps]
-    return complete_dilation(*stack_isometry(parts, MEMBER_CP_TOL), rng=rng)
+    return complete_dilation(*stack_isometry(parts), rng=rng)
 
 
 def measure_via_dilation(
@@ -206,13 +210,17 @@ def measure_via_dilation(
 
     For each outcome the ancilla is projected onto its sector and traced out,
     giving the weighted system state whose trace is the outcome probability.
+    That state is ``sum_a V_a rho V_a^dagger`` over the sector's slots a, with
+    V_a[r, r'] = U[(r, a), (r', 0)], so each costs O(N^3 * sector size) and
+    the D x D joint state is never formed.
     """
     n = dil.sys_dim
-    j4 = joint_state(dil, rho).reshape(n, dil.anc_dim, n, dil.anc_dim)
+    mat = state_matrix(rho, n)
+    v3 = dil.isometry.reshape(n, dil.anc_dim, n)
     results = []
     for sector in dil.sectors:
-        block = j4[:, sector.start : sector.stop, :, sector.start : sector.stop]
-        raw = np.einsum("rasa->rs", block)
+        block = v3[:, sector.start : sector.stop, :]
+        raw = np.einsum("raq,saq->rs", np.einsum("rap,pq->raq", block, mat), block.conj())
         results.append(_make_outcome(sector.label, raw, threshold))
     return tuple(results)
 
@@ -232,7 +240,8 @@ def sample_outcomes(dil: Dilation, rho, shots: int, seed) -> dict:
     """Draw outcome counts from the dilation statistics by inverse CDF.
 
     Counts always sum to shots and are identical for identical seeds. Zero
-    count outcomes are included in the histogram.
+    count outcomes are included in the histogram. Uniforms are drawn
+    SAMPLE_CHUNK at a time, so memory stays bounded for any shot count.
     """
     if shots < 1:
         raise ValidationError(f"shots must be at least 1, got {shots}")
@@ -242,8 +251,13 @@ def sample_outcomes(dil: Dilation, rho, shots: int, seed) -> dict:
     total = cdf[-1]
     if total <= 0.0:
         raise ValidationError("all outcome probabilities vanish; nothing to sample")
-    draws = np.random.default_rng(seed).random(shots) * total
-    idx = np.searchsorted(cdf, draws, side="right")
-    idx = np.clip(idx, 0, len(outcomes) - 1)
-    counts = np.bincount(idx, minlength=len(outcomes))
+    # One generator drawn in chunks yields the same stream as one big draw,
+    # so the counts do not depend on SAMPLE_CHUNK.
+    rng = np.random.default_rng(seed)
+    counts = np.zeros(len(outcomes), dtype=np.int64)
+    for start in range(0, shots, SAMPLE_CHUNK):
+        draws = rng.random(min(SAMPLE_CHUNK, shots - start)) * total
+        idx = np.searchsorted(cdf, draws, side="right")
+        idx = np.clip(idx, 0, len(outcomes) - 1)
+        counts += np.bincount(idx, minlength=len(outcomes))
     return {o.label: int(c) for o, c in zip(outcomes, counts)}

@@ -10,19 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NotHermitian,
-    NotIsometry,
-    NotPSD,
-    RankDeficient,
-)
+from .errors import DimensionMismatch, NotHermitian, NotIsometry, NotPSD
 
 DEFAULT_TOL = 1e-10
-
-# Residual norm above which a Gram-Schmidt candidate counts as a new
-# independent direction.
-COMPLETION_RESIDUAL = 1e-8
 
 
 def max_abs(m) -> float:
@@ -123,15 +113,46 @@ def psd_sqrt(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     return (root + dagger(root)) / 2
 
 
-def _candidate_vectors(dim: int, rng):
-    if rng is None:
-        for i in range(dim):
-            e = np.zeros(dim, dtype=complex)
-            e[i] = 1.0
-            yield e
-    else:
-        for _ in range(4 * dim + 16):
-            yield rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm from elementwise ufuncs and a reduction, without BLAS."""
+    return float(np.sqrt(np.sum(v.real * v.real + v.imag * v.imag)))
+
+
+def _reflector(x: np.ndarray) -> np.ndarray:
+    """Unit v with (I - 2 v v^dagger) x along e_0 (Golub & Van Loan 5.1).
+
+    The sign follows the phase of x[0] (1 for a zero entry), so v[0] adds
+    magnitudes and never cancels.
+    """
+    v = np.array(x, dtype=complex)
+    a = abs(v[0])
+    phase = v[0] / a if a else 1.0
+    v[0] += phase * _norm(x)
+    return v / _norm(v)
+
+
+def _compact_wy(cols: np.ndarray) -> tuple:
+    """Householder reflectors of a D x k column block in compact-WY form.
+
+    Returns ``(w, t)``, w the D x k unit reflector vectors (w[:j, j] = 0) and t
+    the k x k upper-triangular factor, with H_1 ... H_k = I - w t w^dagger.
+    Costs O(D k^2).
+    """
+    dim, k = cols.shape
+    a = cols.copy()
+    w = np.zeros((dim, k), dtype=complex)
+    t = np.zeros((k, k), dtype=complex)
+    for j in range(k):
+        v = _reflector(a[j:, j])
+        w[j:, j] = v
+        rest = a[j:, j + 1 :]
+        rest -= 2.0 * np.multiply.outer(v, np.einsum("i,ij->j", v.conj(), rest))
+        # H_1..H_j = (I - W T W^dagger)(I - 2 v v^dagger) adds the column
+        # -2 T (W^dagger v) above the new diagonal entry 2.
+        overlap = np.einsum("ia,i->a", w[j:, :j].conj(), v)
+        t[:j, j] = -2.0 * np.einsum("ab,b->a", t[:j, :j], overlap)
+        t[j, j] = 2.0
+    return w, t
 
 
 def complete_to_unitary(
@@ -140,11 +161,15 @@ def complete_to_unitary(
     """Extend orthonormal columns to a full unitary matrix.
 
     The first ``k`` columns of the result are the input columns unchanged.
-    The remaining directions come from orthogonalizing candidate vectors
-    (standard basis vectors in order, or Gaussian draws when ``rng`` is
-    given) against every accepted column with two passes of modified
-    Gram-Schmidt, accepting a candidate when its residual norm exceeds
-    ``COMPLETION_RESIDUAL``.
+    The other D - k are the complement ``Q[:, k:]`` of the Householder QR of
+    the input, formed in compact-WY form as ``I[:, k:] - W T W[k:, :]^dagger``
+    in O(D^2 k). With ``rng`` given, the complement is further multiplied on
+    the right by the reflectors (same form) of a seeded Gaussian block with
+    min(k, D - k) columns, which keeps the cost at O(D^2 k).
+
+    Only elementwise ufuncs, reductions and ``np.einsum`` run here, never
+    BLAS or LAPACK, so the result is bit-identical at any BLAS thread count;
+    with ``rng`` it depends only on the generator's state.
     """
     cols = np.array(columns, dtype=complex)
     if cols.ndim != 2:
@@ -152,28 +177,24 @@ def complete_to_unitary(
     dim, k = cols.shape
     if k > dim:
         raise NotIsometry(f"{k} columns cannot be orthonormal in dimension {dim}")
-    gram = dagger(cols) @ cols
+    gram = np.einsum("ia,ib->ab", cols.conj(), cols)
     defect = max_abs(gram - np.eye(k))
     if defect > tol:
         raise NotIsometry(f"columns deviate from orthonormal by {defect:.3e} (tol {tol:.1e})")
 
-    out = np.zeros((dim, dim), dtype=complex)
+    out = np.empty((dim, dim), dtype=complex)
     out[:, :k] = cols
-    accepted = k
-    for cand in _candidate_vectors(dim, rng):
-        if accepted == dim:
-            break
-        v = cand.astype(complex)
-        for _ in range(2):
-            for j in range(accepted):
-                q = out[:, j]
-                v = v - (q.conj() @ v) * q
-        nrm = float(np.linalg.norm(v))
-        if nrm > COMPLETION_RESIDUAL:
-            out[:, accepted] = v / nrm
-            accepted += 1
-    if accepted < dim:
-        raise RankDeficient(
-            f"found only {accepted - k} of {dim - k} completion directions"
-        )
+    if k == dim:
+        return out
+    w, t = _compact_wy(cols)
+    comp = out[:, k:]
+    wt = np.einsum("ia,ab->ib", w, t)
+    np.einsum("ib,mb->im", wt, -w[k:].conj(), out=comp)
+    diag = np.arange(dim - k)
+    comp[k + diag, diag] += 1.0
+    if rng is not None:
+        shape = (dim - k, min(k, dim - k))
+        y, s = _compact_wy(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        cys = np.einsum("ia,ab->ib", np.einsum("im,ma->ia", comp, y), s)
+        comp -= np.einsum("ib,mb->im", cys, y.conj())
     return out

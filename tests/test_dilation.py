@@ -136,6 +136,56 @@ def test_completion_choice_does_not_affect_reduced_state():
         assert q.max_abs(red_det - red_rnd) < 1e-10
 
 
+def full_unitary_joint_state(dil, rho):
+    """Reference evolution ``U (rho (x) |0><0|) U^dagger`` with the whole of U."""
+    anc0 = np.zeros((dil.anc_dim, dil.anc_dim), dtype=complex)
+    anc0[0, 0] = 1.0
+    return dil.u @ q.kron(rho.mat, anc0) @ dil.u.conj().T
+
+
+@pytest.mark.parametrize("seeded", [False, True])
+def test_simulate_matches_full_unitary_evolution(seeded):
+    for case in range(8):
+        dim = 2 + case % 3
+        rank = 1 + (5 * case) % (dim * dim)
+        dec = q.canonical_decompose(q.random_cptp(dim, rank, 10_000 + case))
+        rng = np.random.default_rng(11_000 + case) if seeded else None
+        du = q.build_dilation_unitary(dec, rng=rng)
+        rho = q.random_density(dim, 12_000 + case)
+        joint, reduced = q.simulate_via_dilation(du, rho)
+        ref = full_unitary_joint_state(du, rho)
+        assert q.max_abs(joint - ref) <= 1e-12
+        assert q.max_abs(reduced - q.partial_trace_ancilla(ref, du.anc_dim)) <= 1e-12
+
+
+def negative_noise_map(weight):
+    """A rank-2 CPTP qubit map plus one HS-orthogonal term of the given weight."""
+    dmap = q.random_cptp(2, 2, 13_000)
+    vals, vecs = q.hermitian_eig(dmap.bmat)
+    assert abs(vals[-1]) < 1e-14
+    extra = vecs[:, -1].reshape(2, 2)
+    dec = q.canonical_decompose(dmap)
+    terms = [(t.weight, t.op) for t in dec.terms] + [(weight, extra)]
+    return q.map_from_kraus(terms, 2)
+
+
+def test_cp_verdicts_agree_on_noise_level_negative_weight():
+    dmap = negative_noise_map(-5e-11)
+    assert q.check_properties(dmap).completely_positive
+    assert q.build_dilation_unitary(q.canonical_decompose(dmap)).anc_dim == 3
+    inst = q.Instrument(dim=2, maps=(("all", dmap),))
+    assert q.build_instrument_dilation(inst).anc_dim == 3
+
+
+def test_cp_verdicts_agree_on_negative_weight_beyond_noise():
+    dmap = negative_noise_map(-5e-9)
+    assert not q.check_properties(dmap).completely_positive
+    with pytest.raises(q.NotCompletelyPositive):
+        q.build_dilation_unitary(q.canonical_decompose(dmap))
+    with pytest.raises(q.NotCompletelyPositive):
+        q.Instrument(dim=2, maps=(("all", dmap),))
+
+
 def test_simulate_rejects_wrong_state_dimension():
     du = q.build_dilation_unitary(identity_decomposition())
     with pytest.raises(q.DimensionMismatch):

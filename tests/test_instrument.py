@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qdilate as q
+import qdilate.instrument as qinstrument
 
 from conftest import (
     IDENTITY2,
@@ -211,6 +212,42 @@ def test_sample_deterministic_and_binomially_plausible(plus_state):
     bound = 4 * np.sqrt(0.25 * 100_000)
     for label in ("0", "1"):
         assert abs(a[label] - 50_000) <= bound
+
+
+@pytest.mark.parametrize("seeded", [False, True])
+def test_measure_matches_full_unitary_sector_readout(seeded):
+    for case in range(8):
+        dim = 2 + case % 3
+        mu = 1 + case % 3
+        inst = make_split_instrument(dim, mu, 14_000 + case)
+        rng = np.random.default_rng(15_000 + case) if seeded else None
+        dil = q.build_instrument_dilation(inst, rng=rng)
+        rho = q.random_density(dim, 16_000 + case)
+        anc0 = np.zeros((dil.anc_dim, dil.anc_dim), dtype=complex)
+        anc0[0, 0] = 1.0
+        joint = dil.u @ q.kron(rho.mat, anc0) @ dil.u.conj().T
+        j4 = joint.reshape(dim, dil.anc_dim, dim, dil.anc_dim)
+        outcomes = q.measure_via_dilation(dil, rho)
+        assert [o.label for o in outcomes] == [s.label for s in dil.sectors]
+        for sector, outcome in zip(dil.sectors, outcomes):
+            window = slice(sector.start, sector.stop)
+            ref = np.einsum("rasa->rs", j4[:, window, :, window])
+            assert q.max_abs(outcome.raw_unnormalized - ref) <= 1e-12
+            assert abs(outcome.probability - np.trace(ref).real) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [3, 17, 2024])
+def test_sample_counts_over_several_chunks_equal_one_draw(seed):
+    inst = make_split_instrument(3, 3, 17_000 + seed)
+    dil = q.build_instrument_dilation(inst)
+    rho = q.random_density(3, seed)
+    shots = 2 * qinstrument.SAMPLE_CHUNK + 12_345
+    counts = q.sample_outcomes(dil, rho, shots, seed)
+    probs = np.clip([o.probability for o in q.measure_via_dilation(dil, rho)], 0.0, None)
+    cdf = np.cumsum(probs)
+    draws = np.random.default_rng(seed).random(shots) * cdf[-1]
+    idx = np.clip(np.searchsorted(cdf, draws, side="right"), 0, len(probs) - 1)
+    assert list(counts.values()) == np.bincount(idx, minlength=len(probs)).tolist()
 
 
 def test_sample_rejects_non_positive_shots(plus_state):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qdilate as q
 
@@ -157,6 +159,45 @@ def test_complete_to_unitary_seeded_variant_is_unitary_and_reproducible():
     assert np.array_equal(u1[:, :2], cols)
     assert q.max_abs(u1.conj().T @ u1 - np.eye(5)) < 1e-12
     assert q.max_abs(u1 - u_det) > 1e-3
+
+
+@st.composite
+def orthonormal_columns(draw):
+    """D x k orthonormal columns, 1 <= k <= D <= 40, of three kinds.
+
+    ``gaussian``: QR of a complex Gaussian block; ``zero_leading``: the same
+    with a zero first entry in column 0; ``basis``: standard basis vectors in
+    a random order, whose reflectors meet zero leading entries throughout.
+    """
+    dim = draw(st.integers(1, 40))
+    k = draw(st.integers(1, dim))
+    kind = draw(st.sampled_from(["gaussian", "zero_leading", "basis"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "basis":
+        return np.eye(dim, dtype=complex)[:, rng.permutation(dim)[:k]]
+    g = rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
+    if kind == "zero_leading":
+        g[0, 0] = 0.0
+    cols, _ = np.linalg.qr(g)
+    return cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(cols=orthonormal_columns(), seed=st.integers(0, 2**32 - 1))
+def test_complete_to_unitary_properties(cols, seed):
+    dim, k = cols.shape
+    u = q.complete_to_unitary(cols)
+    assert np.array_equal(u[:, :k], cols)
+    assert q.max_abs(u.conj().T @ u - np.eye(dim)) <= 1e-13
+    u1 = q.complete_to_unitary(cols, rng=np.random.default_rng(seed))
+    u2 = q.complete_to_unitary(cols, rng=np.random.default_rng(seed))
+    assert np.array_equal(u1, u2)
+    assert np.array_equal(u1[:, :k], cols)
+    assert q.max_abs(u1.conj().T @ u1 - np.eye(dim)) <= 1e-13
+    if k < dim:
+        assert q.max_abs(u1 - u) > 1e-6
+    else:
+        assert np.array_equal(u1, u)
 
 
 def test_max_abs():
