@@ -21,7 +21,7 @@ from dataclasses import InitVar, dataclass, field
 import numpy as np
 
 from .errors import BadRank, DimensionMismatch, ValidationError
-from .linalg import DEFAULT_TOL, dagger, hermitian_eig, max_abs
+from .linalg import DEFAULT_TOL, dagger, hermitian_eig, max_abs, min_eigenvalue
 
 # Relative cutoff below which decomposition eigenvalues count as zero rank.
 TRUNCATION_TOL = 1e-12
@@ -53,7 +53,7 @@ class DensityMatrix:
         tr = np.trace(mat)
         if abs(tr - 1.0) > tol:
             raise ValidationError(f"density matrix must have unit trace (trace {tr:.6g})")
-        min_eig = float(np.linalg.eigvalsh((mat + dagger(mat)) / 2).min())
+        min_eig = min_eigenvalue(mat)
         if min_eig < -tol:
             raise ValidationError(
                 f"density matrix must be positive semidefinite (min eigenvalue {min_eig:.3e})"
@@ -221,10 +221,8 @@ def check_properties(dmap: DynamicalMap, tol: float = DEFAULT_TOL) -> MapPropert
     """
     n = dmap.dim
     herm_defect = max_abs(dmap.bmat - dagger(dmap.bmat))
-    b4 = dmap.bmat.reshape(n, n, n, n)
-    tmat = np.einsum("rprq->pq", b4)
-    trace_defect = max_abs(tmat - np.eye(n))
-    min_eig = float(np.linalg.eigvalsh((dmap.bmat + dagger(dmap.bmat)) / 2).min())
+    trace_defect = max_abs(povm_effect(dmap) - np.eye(n))
+    min_eig = min_eigenvalue(dmap.bmat)
     return MapProperties(
         hermiticity_preserving=herm_defect <= tol,
         trace_preserving=trace_defect <= tol,

@@ -4,12 +4,12 @@ A set of labeled CP maps with canonical decompositions
 ``rho -> sum_a w_a L_a rho L_a^dagger`` is realized by the isometry
 ``|r'>|0> -> sum sqrt(w_a) L_a[r, r'] |r>|slot(a)>``, where each map owns an
 ancilla sector of its decomposition rank (at most N^2 slots). The isometry is
-completed to a unitary U, and map i is recovered by evolving
-``U (rho (x) |0><0|) U^dagger`` and tracing out ancilla sector i. A channel is
-the one-sector case, recovered as ``partial_trace_ancilla(U (rho (x) |0><0|)
-U^dagger, nu)``. Since rho (x) |0><0| lives on the columns (r', 0), that joint
-state is ``V rho V^dagger`` with V those isometry columns of U: evolution reads
-only V, and the completion columns, arbitrary by construction, never affect it.
+completed to a unitary U. Since rho (x) |0><0| lives on the columns (r', 0),
+evolution reads only those isometry columns V of U, and the completion
+columns, arbitrary by construction, never affect it. Map i is recovered by
+projecting the ancilla onto sector i and tracing it out, which is
+``sum_a V_a rho V_a^dagger`` over the sector's slots a: :func:`sector_states`
+is the one kernel that computes it. A channel is the one-sector case.
 """
 
 from __future__ import annotations
@@ -186,14 +186,24 @@ def complete_dilation(iso: np.ndarray, sectors, rng=None) -> Dilation:
     return Dilation(sys_dim=n, anc_dim=anc_dim, u=u, sectors=sectors)
 
 
-def joint_state(dil: Dilation, rho) -> np.ndarray:
-    """The joint state ``U (rho (x) |0><0|) U^dagger`` on system (x) ancilla.
+def sector_states(dil: Dilation, rho) -> list:
+    """Each sector's system state ``sum_a V_a rho V_a^dagger``, in sector order.
 
-    Computed as ``V rho V^dagger`` from the isometry columns V of U, in
-    O(D^2 N) rather than the O(D^3) of the full product.
+    V_a[r, r'] = U[(r, a), (r', 0)] is the block of the isometry at ancilla
+    slot a; the state of a sector is the joint state projected onto its slots
+    with the ancilla traced out, and its trace is the sector's probability.
+    Each costs O(N^3 * sector size), and the D x D joint state is never formed.
     """
-    v = dil.isometry
-    return v @ state_matrix(rho, dil.sys_dim) @ dagger(v)
+    n = dil.sys_dim
+    mat = state_matrix(rho, n)
+    v3 = dil.isometry.reshape(n, dil.anc_dim, n)
+    states = []
+    for sector in dil.sectors:
+        block = v3[:, sector.start : sector.stop, :]
+        states.append(
+            np.einsum("raq,saq->rs", np.einsum("rap,pq->raq", block, mat), block.conj())
+        )
+    return states
 
 
 def build_dilation_isometry(dec: CanonicalDecomposition) -> np.ndarray:
@@ -220,9 +230,12 @@ def simulate_via_dilation(dil: Dilation, rho) -> tuple:
     """Evolve rho (x) |0><0| by the unitary and trace out the ancilla.
 
     Returns ``(joint, reduced)``: the full post-evolution state and its
-    system reduction.
+    system reduction. The joint state ``U (rho (x) |0><0|) U^dagger`` is
+    computed as ``V rho V^dagger`` from the isometry columns V of U, in
+    O(D^2 N) rather than the O(D^3) of the full product.
     """
-    joint = joint_state(dil, rho)
+    v = dil.isometry
+    joint = v @ state_matrix(rho, dil.sys_dim) @ dagger(v)
     return joint, partial_trace_ancilla(joint, dil.anc_dim)
 
 
@@ -238,7 +251,8 @@ def verify_dilation(dmap: DynamicalMap, trials: int, seed) -> VerificationReport
     """Compare the dilation route against direct application on random states.
 
     Per-trial states are drawn from generators derived from (seed, trial
-    index), so results are reproducible and order-independent.
+    index), so results are reproducible and order-independent. The dilated
+    state is the channel's one sector from :func:`sector_states`.
     """
     dec = canonical_decompose(dmap)
     du = build_dilation_unitary(dec)
@@ -246,7 +260,7 @@ def verify_dilation(dmap: DynamicalMap, trials: int, seed) -> VerificationReport
     worst = 0.0
     for stream in streams:
         rho = random_density(dmap.dim, np.random.default_rng(stream))
-        _, reduced = simulate_via_dilation(du, rho)
+        (reduced,) = sector_states(du, rho)
         direct = apply_map(dmap, rho)
         worst = max(worst, max_abs(reduced - direct))
     return VerificationReport(trials=trials, max_error=float(worst))

@@ -23,9 +23,8 @@ from .channel import (
     canonical_decompose,
     map_from_kraus,
     povm_effect,
-    state_matrix,
 )
-from .dilation import Dilation, complete_dilation, stack_isometry
+from .dilation import Dilation, complete_dilation, sector_states, stack_isometry
 from .errors import (
     DimensionMismatch,
     Incomplete,
@@ -33,7 +32,7 @@ from .errors import (
     OverComplete,
     ValidationError,
 )
-from .linalg import DEFAULT_TOL, dagger, max_abs, psd_sqrt
+from .linalg import DEFAULT_TOL, dagger, max_abs, min_eigenvalue, psd_sqrt
 
 # Total-effect deviation from identity below which a set counts as complete.
 COMPLETENESS_TOL = 1e-8
@@ -43,10 +42,6 @@ PAD_PSD_TOL = 1e-9
 
 # Outcomes with probability at or below this get no normalized post state.
 POST_STATE_THRESHOLD = 1e-12
-
-# Draws per chunk in sample_outcomes; bounds its memory (about 16 bytes a
-# draw) whatever the shot count.
-SAMPLE_CHUNK = 1 << 20
 
 
 def _normalized_maps(maps) -> tuple:
@@ -87,9 +82,7 @@ class Instrument:
                 raise DimensionMismatch(
                     f"outcome {label!r} has dim {dmap.dim}, instrument has dim {self.dim}"
                 )
-            min_eig = float(
-                np.linalg.eigvalsh((dmap.bmat + dagger(dmap.bmat)) / 2).min()
-            )
+            min_eig = min_eigenvalue(dmap.bmat)
             # Eigen-solver noise on a CP map stays above -DEFAULT_TOL, the
             # bound check_properties and the dilation builders also use.
             if min_eig < -DEFAULT_TOL:
@@ -164,7 +157,7 @@ def pad_to_complete(inst: Instrument) -> Instrument:
         return inst
     _, defect = check_completeness(inst)
     defect = (defect + dagger(defect)) / 2
-    min_eig = float(np.linalg.eigvalsh(defect).min())
+    min_eig = min_eigenvalue(defect)
     if min_eig < -PAD_PSD_TOL:
         raise OverComplete(
             f"total effect exceeds identity (defect eigenvalue {min_eig:.3e}); "
@@ -210,19 +203,13 @@ def measure_via_dilation(
 
     For each outcome the ancilla is projected onto its sector and traced out,
     giving the weighted system state whose trace is the outcome probability.
-    That state is ``sum_a V_a rho V_a^dagger`` over the sector's slots a, with
-    V_a[r, r'] = U[(r, a), (r', 0)], so each costs O(N^3 * sector size) and
-    the D x D joint state is never formed.
+    Those states come from :func:`qdilate.dilation.sector_states`, which reads
+    the isometry of U and never forms the D x D joint state.
     """
-    n = dil.sys_dim
-    mat = state_matrix(rho, n)
-    v3 = dil.isometry.reshape(n, dil.anc_dim, n)
-    results = []
-    for sector in dil.sectors:
-        block = v3[:, sector.start : sector.stop, :]
-        raw = np.einsum("raq,saq->rs", np.einsum("rap,pq->raq", block, mat), block.conj())
-        results.append(_make_outcome(sector.label, raw, threshold))
-    return tuple(results)
+    return tuple(
+        _make_outcome(sector.label, raw, threshold)
+        for sector, raw in zip(dil.sectors, sector_states(dil, rho))
+    )
 
 
 def outcome_statistics(
@@ -237,27 +224,22 @@ def outcome_statistics(
 
 
 def sample_outcomes(dil: Dilation, rho, shots: int, seed) -> dict:
-    """Draw outcome counts from the dilation statistics by inverse CDF.
+    """Draw outcome counts from the dilation statistics in one multinomial draw.
 
-    Counts always sum to shots and are identical for identical seeds. Zero
-    count outcomes are included in the histogram. Uniforms are drawn
-    SAMPLE_CHUNK at a time, so memory stays bounded for any shot count.
+    The histogram of ``shots`` independent readouts is Multinomial(shots, p),
+    so the counts are drawn at once, in time and memory O(outcomes) whatever
+    the shot count. Counts always sum to shots and are identical for
+    identical seeds. Zero count outcomes are included in the histogram.
+    Shots must lie in [1, 2^63 - 1], the range of the sampler's counts.
     """
     if shots < 1:
         raise ValidationError(f"shots must be at least 1, got {shots}")
+    if shots > np.iinfo(np.int64).max:
+        raise ValidationError(f"shots must be at most 2^63 - 1, got {shots}")
     outcomes = measure_via_dilation(dil, rho)
-    probs = np.clip([o.probability for o in outcomes], 0.0, None)
-    cdf = np.cumsum(probs)
-    total = cdf[-1]
+    probs = np.array([o.probability for o in outcomes])
+    total = probs.sum()
     if total <= 0.0:
         raise ValidationError("all outcome probabilities vanish; nothing to sample")
-    # One generator drawn in chunks yields the same stream as one big draw,
-    # so the counts do not depend on SAMPLE_CHUNK.
-    rng = np.random.default_rng(seed)
-    counts = np.zeros(len(outcomes), dtype=np.int64)
-    for start in range(0, shots, SAMPLE_CHUNK):
-        draws = rng.random(min(SAMPLE_CHUNK, shots - start)) * total
-        idx = np.searchsorted(cdf, draws, side="right")
-        idx = np.clip(idx, 0, len(outcomes) - 1)
-        counts += np.bincount(idx, minlength=len(outcomes))
+    counts = np.random.default_rng(seed).multinomial(shots, probs / total)
     return {o.label: int(c) for o, c in zip(outcomes, counts)}

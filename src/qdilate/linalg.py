@@ -26,6 +26,12 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().T
 
 
+def min_eigenvalue(m) -> float:
+    """Smallest eigenvalue of the Hermitian part ``(m + m^dagger) / 2``."""
+    m = np.asarray(m)
+    return float(np.linalg.eigvalsh((m + dagger(m)) / 2).min())
+
+
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product, first factor slow: (i*rowsB + k, j*colsB + l)."""
     return np.kron(np.asarray(a), np.asarray(b))

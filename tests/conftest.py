@@ -27,14 +27,16 @@ def state_path(name: str) -> Path:
     return FIXTURES / "states" / name
 
 
-def make_split_instrument(dim: int, mu: int, seed) -> q.Instrument:
+def make_split_instrument(dim: int, mu: int, seed, rank=None) -> q.Instrument:
     """Random complete instrument: a random CPTP map cut into mu pieces.
 
     The union of all pieces is the original channel, so the total effect is
-    the identity up to the channel's own construction noise.
+    the identity up to the channel's own construction noise. The channel's
+    Kraus rank is drawn from [mu, dim^2] unless given.
     """
     rng = np.random.default_rng(seed)
-    rank = int(rng.integers(mu, dim * dim + 1))
+    if rank is None:
+        rank = int(rng.integers(mu, dim * dim + 1))
     dec = q.canonical_decompose(q.random_cptp(dim, rank, rng))
     assert dec.rank >= mu
     groups = [[] for _ in range(mu)]

@@ -175,6 +175,23 @@ def test_sample_is_deterministic(tmp_path):
     assert counts["0"] + counts["1"] == 2000
 
 
+def test_sample_refuses_shots_beyond_int64(tmp_path):
+    args = [
+        "sample",
+        "--instrument",
+        str(instrument_path("computational_basis.json")),
+        "--state",
+        str(state_path("plus.json")),
+        "--shots",
+        "100000000000000000000",
+        "--seed",
+        "33",
+    ]
+    report = run_to_report(tmp_path, args, expect_code=1)
+    assert report["status"] == "error"
+    assert report["error"]["code"] == "ValidationError"
+
+
 def test_pad_writes_complete_spec(tmp_path):
     spec_out = tmp_path / "padded.json"
     report = run_to_report(

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qdilate as q
+from qdilate.dilation import sector_states
 
-from conftest import IDENTITY2, P0, P1
+from conftest import IDENTITY2, P0, P1, make_split_instrument
 
 
 def identity_decomposition():
@@ -156,6 +159,51 @@ def test_simulate_matches_full_unitary_evolution(seeded):
         ref = full_unitary_joint_state(du, rho)
         assert q.max_abs(joint - ref) <= 1e-12
         assert q.max_abs(reduced - q.partial_trace_ancilla(ref, du.anc_dim)) <= 1e-12
+
+
+@st.composite
+def split_instruments(draw):
+    dim = draw(st.integers(1, 5))
+    rank = draw(st.integers(1, dim * dim))
+    mu = draw(st.integers(1, min(3, rank)))
+    return make_split_instrument(dim, mu, draw(st.integers(0, 2**32 - 1)), rank=rank)
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=split_instruments(), seed=st.integers(0, 2**32 - 1), seeded=st.booleans())
+def test_sector_states_match_full_unitary_sectors(inst, seed, seeded):
+    rng = np.random.default_rng(seed) if seeded else None
+    dil = q.build_instrument_dilation(inst, rng=rng)
+    rho = q.random_density(inst.dim, seed)
+    joint = full_unitary_joint_state(dil, rho)
+    j4 = joint.reshape(inst.dim, dil.anc_dim, inst.dim, dil.anc_dim)
+    states = sector_states(dil, rho)
+    assert len(states) == len(dil.sectors)
+    for sector, state in zip(dil.sectors, states):
+        window = slice(sector.start, sector.stop)
+        assert q.max_abs(state - np.einsum("rasa->rs", j4[:, window, :, window])) <= 1e-12
+    reduced = q.partial_trace_ancilla(joint, dil.anc_dim)
+    assert q.max_abs(sum(states) - reduced) <= 1e-12
+
+
+def joint_route_max_error(dmap, trials, seed):
+    """verify_dilation's figure through the D x D joint state and a partial trace."""
+    du = q.build_dilation_unitary(q.canonical_decompose(dmap))
+    worst = 0.0
+    for stream in np.random.SeedSequence(seed).spawn(trials):
+        rho = q.random_density(dmap.dim, np.random.default_rng(stream))
+        _, reduced = q.simulate_via_dilation(du, rho)
+        worst = max(worst, q.max_abs(reduced - q.apply_map(dmap, rho)))
+    return worst
+
+
+def test_verify_dilation_agrees_with_joint_state_route():
+    for case in range(8):
+        dim = 2 + case % 4
+        rank = 1 + (7 * case) % (dim * dim)
+        dmap = q.random_cptp(dim, rank, 18_000 + case)
+        report = q.verify_dilation(dmap, trials=5, seed=case)
+        assert abs(report.max_error - joint_route_max_error(dmap, 5, case)) <= 1e-12
 
 
 def negative_noise_map(weight):

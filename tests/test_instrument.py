@@ -1,10 +1,12 @@
 """Instruments: completeness, padding, joint dilation, statistics, sampling."""
 
+import time
+
 import numpy as np
 import pytest
 
 import qdilate as q
-import qdilate.instrument as qinstrument
+from qdilate.dilation import sector_states
 
 from conftest import (
     IDENTITY2,
@@ -105,6 +107,15 @@ def test_one_outcome_instrument_matches_channel_dilation():
     assert abs(outcome.probability - 1.0) < 1e-10
     assert q.max_abs(outcome.raw_unnormalized - reduced) < 1e-10
     assert q.max_abs(outcome.raw_unnormalized - q.apply_map(dmap, rho)) < 1e-9
+
+
+def test_one_outcome_readout_is_the_channel_sector_state():
+    dmap = q.random_cptp(3, 5, 66)
+    rho = q.random_density(3, 67)
+    inst = q.Instrument(dim=3, maps=(("all", dmap),))
+    (outcome,) = q.measure_via_dilation(q.build_instrument_dilation(inst), rho)
+    (state,) = sector_states(q.build_dilation_unitary(q.canonical_decompose(dmap)), rho)
+    assert np.array_equal(outcome.raw_unnormalized, state)
 
 
 def test_basis_instrument_dilation_layout():
@@ -237,17 +248,29 @@ def test_measure_matches_full_unitary_sector_readout(seeded):
 
 
 @pytest.mark.parametrize("seed", [3, 17, 2024])
-def test_sample_counts_over_several_chunks_equal_one_draw(seed):
+def test_sample_counts_equal_one_multinomial_draw(seed):
     inst = make_split_instrument(3, 3, 17_000 + seed)
     dil = q.build_instrument_dilation(inst)
     rho = q.random_density(3, seed)
-    shots = 2 * qinstrument.SAMPLE_CHUNK + 12_345
+    shots = 2_109_497
     counts = q.sample_outcomes(dil, rho, shots, seed)
-    probs = np.clip([o.probability for o in q.measure_via_dilation(dil, rho)], 0.0, None)
-    cdf = np.cumsum(probs)
-    draws = np.random.default_rng(seed).random(shots) * cdf[-1]
-    idx = np.clip(np.searchsorted(cdf, draws, side="right"), 0, len(probs) - 1)
-    assert list(counts.values()) == np.bincount(idx, minlength=len(probs)).tolist()
+    p = np.array([o.probability for o in q.measure_via_dilation(dil, rho)])
+    expected = np.random.default_rng(seed).multinomial(shots, p / p.sum())
+    assert list(counts.values()) == expected.tolist()
+
+
+def test_sample_time_does_not_grow_with_shots(plus_state):
+    dil = q.build_instrument_dilation(basis_instrument())
+    start = time.perf_counter()
+    counts = q.sample_outcomes(dil, plus_state, shots=2**62, seed=5)
+    assert time.perf_counter() - start < 1.0
+    assert sum(counts.values()) == 2**62
+
+
+def test_sample_rejects_shots_beyond_int64(plus_state):
+    dil = q.build_instrument_dilation(basis_instrument())
+    with pytest.raises(q.ValidationError):
+        q.sample_outcomes(dil, plus_state, shots=2**63, seed=5)
 
 
 def test_sample_rejects_non_positive_shots(plus_state):
