@@ -3,10 +3,11 @@
 A set of labeled CP maps with canonical decompositions
 ``rho -> sum_a w_a L_a rho L_a^dagger`` is realized by the isometry
 ``|r'>|0> -> sum sqrt(w_a) L_a[r, r'] |r>|slot(a)>``, where each map owns an
-ancilla sector of its decomposition rank (at most N^2 slots). The isometry is
-completed to a unitary U. Since rho (x) |0><0| lives on the columns (r', 0),
-evolution reads only those isometry columns V of U, and the completion
-columns, arbitrary by construction, never affect it. Map i is recovered by
+ancilla sector of its decomposition rank (at most N^2 slots). A
+:class:`Dilation` holds that isometry V, and completes it to a unitary U only
+when U is read. Since rho (x) |0><0| lives on the columns (r', 0) of U,
+evolution reads only V, and the completion columns, arbitrary by
+construction, never affect it. Map i is recovered by
 projecting the ancilla onto sector i and tracing it out, which is
 ``sum_a V_a rho V_a^dagger`` over the sector's slots a: :func:`sector_states`
 is the one kernel that computes it. A channel is the one-sector case.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -65,31 +67,36 @@ class Sector:
 
 @dataclass(frozen=True, eq=False)
 class Dilation:
-    """Unitary on system (x) ancilla with the ancilla laid out in labeled sectors.
+    """Isometry into system (x) ancilla with the ancilla laid out in labeled sectors.
 
-    Columns (r', 0) carry the dilation isometry. The sectors partition the
-    ancilla in order, and anc_dim is at most len(sectors) * sys_dim^2. A
-    channel dilation has a single sector.
+    ``isometry`` is the (sys_dim*anc_dim) x sys_dim block V whose column r' is
+    the image of |r'>|0>, and it is checked to be an isometry on construction,
+    in O(D N^2). The sectors partition the ancilla in order, and anc_dim is at
+    most len(sectors) * sys_dim^2. A channel dilation has a single sector.
+    Evolution and readout need only V; the unitary ``u``, whose columns
+    (r', 0) are V, is completed and checked the first time it is read.
     """
 
     sys_dim: int
     anc_dim: int
-    u: np.ndarray
+    isometry: np.ndarray
     sectors: tuple
-    unitarity_residual: float = field(init=False)
+    # Standard-normal draws a seeded completion mixes the complement with,
+    # taken from the caller's generator at build time; empty if unseeded.
+    _mixing: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
-        u = np.asarray(self.u, dtype=complex)
-        object.__setattr__(self, "u", u)
+        iso = np.asarray(self.isometry, dtype=complex)
+        object.__setattr__(self, "isometry", iso)
         object.__setattr__(self, "sectors", tuple(self.sectors))
         if self.sys_dim < 1 or self.anc_dim < 1:
             raise DimensionMismatch(
                 f"dimensions must be positive, got ({self.sys_dim}, {self.anc_dim})"
             )
-        size = self.sys_dim * self.anc_dim
-        if u.shape != (size, size):
+        shape = (self.sys_dim * self.anc_dim, self.sys_dim)
+        if iso.shape != shape:
             raise DimensionMismatch(
-                f"unitary shape {u.shape} does not match sys_dim*anc_dim = {size}"
+                f"isometry shape {iso.shape} does not match (sys_dim*anc_dim, sys_dim) = {shape}"
             )
         cursor = 0
         for sector in self.sectors:
@@ -105,16 +112,77 @@ class Dilation:
             raise ValidationError(
                 f"ancilla dim {self.anc_dim} exceeds num_sectors*sys_dim^2 = {bound}"
             )
-        residual = max_abs(dagger(u) @ u - np.eye(size))
+        residual = _isometry_defect(iso)
+        if residual > DEFAULT_TOL:
+            raise NotIsometry(f"isometry residual {residual:.3e} exceeds {DEFAULT_TOL:.1e}")
+
+    @cached_property
+    def u(self) -> np.ndarray:
+        """The D x D unitary, completed from the isometry on first read.
+
+        Columns (r', 0) are the isometry, bit for bit; columns (r', a != 0)
+        take the Householder complement of :func:`complete_to_unitary` in
+        order, mixed with the build-time draws if the dilation was seeded.
+        The dense residual max|U^dagger U - I| above ``DEFAULT_TOL`` raises
+        :class:`NotIsometry`; otherwise it is kept as ``unitarity_residual``.
+        """
+        n, anc_dim = self.sys_dim, self.anc_dim
+        size = n * anc_dim
+        rng = _Replay(self._mixing) if self._mixing else None
+        u0 = complete_to_unitary(self.isometry, tol=TP_RESIDUAL_TOL, rng=rng)
+        u = np.empty((size, size), dtype=complex)
+        slots = u.reshape(size, n, anc_dim)
+        slots[:, :, 0] = u0[:, :n]
+        slots[:, :, 1:] = u0[:, n:].reshape(size, n, anc_dim - 1)
+        # Free the unplaced copy before the check's temporaries.
+        del u0
+        residual = _unitarity_residual(u)
         if residual > DEFAULT_TOL:
             raise NotIsometry(f"unitarity residual {residual:.3e} exceeds {DEFAULT_TOL:.1e}")
-        object.__setattr__(self, "unitarity_residual", residual)
+        object.__setattr__(self, "_residual", residual)
+        return u
 
     @property
-    def isometry(self) -> np.ndarray:
-        """The (N*anc_dim) x N isometry: U's columns (r', 0), as a view of u."""
-        size = self.sys_dim * self.anc_dim
-        return self.u.reshape(size, self.sys_dim, self.anc_dim)[:, :, 0]
+    def unitarity_residual(self) -> float:
+        """max|U^dagger U - I| of the completed unitary; reads ``u`` first."""
+        self.u
+        return self._residual
+
+
+class _Replay:
+    """Stands in for a generator, returning the normal draws it made in order."""
+
+    def __init__(self, draws):
+        self._draws = iter(draws)
+
+    def standard_normal(self, shape):
+        return next(self._draws)
+
+
+def _isometry_defect(iso: np.ndarray) -> float:
+    """max|V^dagger V - I|, in O(D N^2)."""
+    return max_abs(dagger(iso) @ iso - np.eye(iso.shape[1]))
+
+
+def _unitarity_residual(u: np.ndarray) -> float:
+    """max|U^dagger U - I|, with U^dagger U formed in up to 8 bands of rows.
+
+    Each entry is the same BLAS dot product as in the full ``dagger(u) @ u``
+    and a maximum does not round, so the result is bit-identical to the full
+    product's, while only one band of conj(U) and of U^dagger U, an eighth of
+    a D x D array each, sits beside u. Every band has at least two rows: a
+    one-row band would be a matrix-vector product, whose sums round
+    differently.
+    """
+    size = len(u)
+    bands = max(1, min(8, size // 2))
+    bounds = [i * size // bands for i in range(bands + 1)]
+    peaks = np.empty(bands)
+    for i, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        g = dagger(u[:, lo:hi]) @ u
+        g[np.arange(hi - lo), np.arange(lo, hi)] -= 1.0
+        peaks[i] = max_abs(g)
+    return float(peaks.max())
 
 
 def _sqrt_weights(dec: CanonicalDecomposition) -> list:
@@ -156,7 +224,7 @@ def stack_isometry(parts) -> tuple:
     # Composite row r * nu + a holds row r of block a.
     iso = np.array(blocks, dtype=complex).reshape(nu, n, n).transpose(1, 0, 2)
     iso = iso.reshape(n * nu, n)
-    tp_residual = max_abs(dagger(iso) @ iso - np.eye(n))
+    tp_residual = _isometry_defect(iso)
     if tp_residual > TP_RESIDUAL_TOL:
         raise NotTracePreserving(
             f"sum of weighted L^dagger L deviates from identity by {tp_residual:.3e}; "
@@ -166,24 +234,26 @@ def stack_isometry(parts) -> tuple:
 
 
 def complete_dilation(iso: np.ndarray, sectors, rng=None) -> Dilation:
-    """Complete a stacked isometry to a :class:`Dilation` over the given sectors.
+    """Build the :class:`Dilation` of a stacked isometry over the given sectors.
 
-    The isometry columns become the unitary's columns (r', 0), bit for bit;
-    the remaining columns (r', a != 0) take the Householder complement of
-    :func:`complete_to_unitary` in order and do not affect the reduced
-    dynamics. With ``rng`` None the unitary is deterministic; a seeded
-    generator mixes the complement with seeded reflectors.
+    The isometry is stored as given; its unitary is completed only when
+    ``Dilation.u`` is read, with the isometry as columns (r', 0), bit for bit,
+    and the Householder complement of :func:`complete_to_unitary` in the
+    other columns, which do not affect the reduced dynamics. With ``rng``
+    None the unitary is deterministic. A seeded generator mixes the
+    complement; its draws are taken here, so the unitary depends only on the
+    generator's state at build time, not on when ``u`` is read.
     """
     size, n = iso.shape
-    anc_dim = size // n
-    u0 = complete_to_unitary(iso, tol=TP_RESIDUAL_TOL, rng=rng)
-    u = np.empty((size, size), dtype=complex)
-    slots = u.reshape(size, n, anc_dim)
-    slots[:, :, 0] = u0[:, :n]
-    slots[:, :, 1:] = u0[:, n:].reshape(size, n, anc_dim - 1)
-    # Free the unplaced copy before the validator's D x D temporaries.
-    del u0
-    return Dilation(sys_dim=n, anc_dim=anc_dim, u=u, sectors=sectors)
+    mixing = ()
+    if rng is not None and size > n:
+        # The draws complete_to_unitary makes: the real and imaginary parts of
+        # a (D - N) x min(N, D - N) Gaussian block.
+        shape = (size - n, min(n, size - n))
+        mixing = (rng.standard_normal(shape), rng.standard_normal(shape))
+    return Dilation(
+        sys_dim=n, anc_dim=size // n, isometry=iso, sectors=sectors, _mixing=mixing
+    )
 
 
 def sector_states(dil: Dilation, rho) -> list:
@@ -217,10 +287,10 @@ def build_dilation_isometry(dec: CanonicalDecomposition) -> np.ndarray:
 
 
 def build_dilation_unitary(dec: CanonicalDecomposition, rng=None) -> Dilation:
-    """Complete the channel's dilation isometry to a one-sector :class:`Dilation`.
+    """The channel's dilation isometry as a one-sector :class:`Dilation`.
 
-    With ``rng`` None the completion is deterministic; passing a seeded
-    generator exercises the freedom in the unfixed columns.
+    With ``rng`` None its completion to a unitary is deterministic; passing a
+    seeded generator exercises the freedom in the unfixed columns.
     """
     sectors = (Sector(label=CHANNEL_SECTOR, start=0, stop=dec.rank),)
     return complete_dilation(build_dilation_isometry(dec), sectors, rng=rng)
@@ -256,10 +326,11 @@ def verify_dilation(dmap: DynamicalMap, trials: int, seed) -> VerificationReport
     """
     dec = canonical_decompose(dmap)
     du = build_dilation_unitary(dec)
-    streams = np.random.SeedSequence(seed).spawn(trials)
+    root = np.random.SeedSequence(seed)
     worst = 0.0
-    for stream in streams:
-        rho = random_density(dmap.dim, np.random.default_rng(stream))
+    for _ in range(trials):
+        # One child at a time: the same spawn keys as spawn(trials), in O(1) memory.
+        rho = random_density(dmap.dim, np.random.default_rng(root.spawn(1)[0]))
         (reduced,) = sector_states(du, rho)
         direct = apply_map(dmap, rho)
         worst = max(worst, max_abs(reduced - direct))

@@ -178,7 +178,7 @@ def pad_to_complete(inst: Instrument) -> Instrument:
 
 
 def build_instrument_dilation(inst: Instrument, rng=None) -> Dilation:
-    """Combine all outcome maps into one unitary with sector-labeled ancilla.
+    """Combine all outcome maps into one dilation with sector-labeled ancilla.
 
     Each outcome map is eigen-decomposed; outcome i owns an ancilla sector of
     its decomposition rank, so anc_dim never exceeds num_outcomes*dim^2. The

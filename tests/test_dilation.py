@@ -1,12 +1,16 @@
 """Channel dilations: isometry construction, completion, evolution, verification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdilate as q
-from qdilate.dilation import sector_states
+import qdilate.dilation
+from qdilate.dilation import complete_dilation, sector_states
+from qdilate.linalg import complete_to_unitary
 
 from conftest import IDENTITY2, P0, P1, make_split_instrument
 
@@ -257,12 +261,16 @@ def test_verify_dilation_deterministic_under_seed():
 
 def test_dilation_unitary_type_rejects_non_unitary():
     with pytest.raises(q.NotIsometry):
-        q.Dilation(sys_dim=2, anc_dim=1, u=np.ones((2, 2)), sectors=(q.Sector("all", 0, 1),))
+        q.Dilation(
+            sys_dim=2, anc_dim=1, isometry=np.ones((2, 2)), sectors=(q.Sector("all", 0, 1),)
+        )
 
 
 def test_dilation_unitary_type_rejects_oversized_ancilla():
     with pytest.raises(q.ValidationError):
-        q.Dilation(sys_dim=2, anc_dim=5, u=np.eye(10), sectors=(q.Sector("all", 0, 5),))
+        q.Dilation(
+            sys_dim=2, anc_dim=5, isometry=np.eye(10, 2), sectors=(q.Sector("all", 0, 5),)
+        )
 
 
 @pytest.mark.parametrize(
@@ -280,7 +288,7 @@ def test_dilation_type_rejects_sectors_that_do_not_partition_the_ancilla(sectors
         q.Dilation(
             sys_dim=2,
             anc_dim=4,
-            u=np.eye(8),
+            isometry=np.eye(8, 2),
             sectors=tuple(q.Sector(f"s{i}", a, b) for i, (a, b) in enumerate(sectors)),
         )
 
@@ -289,15 +297,15 @@ def test_dilation_type_bounds_ancilla_by_sector_count():
     # Two sectors allow at most 2 * 2^2 = 8 ancilla slots; three allow 12.
     two = (q.Sector("a", 0, 4), q.Sector("b", 4, 9))
     with pytest.raises(q.ValidationError):
-        q.Dilation(sys_dim=2, anc_dim=9, u=np.eye(18), sectors=two)
+        q.Dilation(sys_dim=2, anc_dim=9, isometry=np.eye(18, 2), sectors=two)
     three = (q.Sector("a", 0, 4), q.Sector("b", 4, 8), q.Sector("c", 8, 9))
-    dil = q.Dilation(sys_dim=2, anc_dim=9, u=np.eye(18), sectors=three)
+    dil = q.Dilation(sys_dim=2, anc_dim=9, isometry=np.eye(18, 2), sectors=three)
     assert dil.unitarity_residual == 0.0
 
 
 def test_dilation_type_rejects_empty_ancilla():
     with pytest.raises(q.DimensionMismatch):
-        q.Dilation(sys_dim=2, anc_dim=0, u=np.zeros((0, 0)), sectors=())
+        q.Dilation(sys_dim=2, anc_dim=0, isometry=np.zeros((0, 2)), sectors=())
 
 
 def test_channel_dilation_is_one_sector_with_stored_residual():
@@ -306,3 +314,84 @@ def test_channel_dilation_is_one_sector_with_stored_residual():
     u = du.u
     assert du.unitarity_residual == q.max_abs(q.dagger(u) @ u - np.eye(15))
     assert du.unitarity_residual <= 1e-10
+
+
+def test_dilation_type_rejects_isometry_off_by_less_than_the_trace_tolerance():
+    # V^dagger V = (1 + 1e-9)^2 I: within the 1e-8 trace-preservation bound
+    # of stack_isometry, but not an isometry within DEFAULT_TOL.
+    dec = q.canonical_decompose(q.random_cptp(3, 4, 56))
+    iso = q.build_dilation_isometry(dec) * (1 + 1e-9)
+    with pytest.raises(q.NotIsometry):
+        complete_dilation(iso, (q.Sector("channel", 0, 4),))
+
+
+@pytest.mark.parametrize("dim, rank", [(1, 1), (2, 1), (3, 3), (5, 5), (7, 7), (6, 36)])
+def test_unitarity_residual_equals_the_full_gram_product(dim, rank):
+    # D = 9, 25 and 49 leave a remainder when U^dagger U is cut into bands.
+    du = q.build_dilation_unitary(q.canonical_decompose(q.random_cptp(dim, rank, 57 + dim)))
+    u = du.u
+    assert du.unitarity_residual == q.max_abs(q.dagger(u) @ u - np.eye(len(u)))
+
+
+class CompletionRan(Exception):
+    pass
+
+
+def test_builds_and_readouts_never_complete_the_unitary(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise CompletionRan
+
+    monkeypatch.setattr(qdilate.dilation, "complete_to_unitary", refuse)
+    dmap = q.random_cptp(3, 5, 58)
+    rho = q.random_density(3, 59)
+    du = q.build_dilation_unitary(q.canonical_decompose(dmap), rng=np.random.default_rng(60))
+    q.simulate_via_dilation(du, rho)
+    assert q.verify_dilation(dmap, trials=3, seed=61).max_error <= 1e-9
+    dil = q.build_instrument_dilation(make_split_instrument(3, 2, 62))
+    q.measure_via_dilation(dil, rho)
+    q.sample_outcomes(dil, rho, shots=100, seed=63)
+    for lazy in (du, dil):
+        with pytest.raises(CompletionRan):
+            lazy.u
+        with pytest.raises(CompletionRan):
+            lazy.unitarity_residual
+
+
+def test_seeded_unitaries_depend_only_on_the_generator_at_build_time():
+    rng = np.random.default_rng(64)
+    dils = [
+        q.build_dilation_unitary(q.canonical_decompose(q.random_cptp(3, 7, 65)), rng=rng),
+        q.build_instrument_dilation(make_split_instrument(2, 2, 66), rng=rng),
+    ]
+    unitaries = [dil.u for dil in reversed(dils)][::-1]
+    fresh = np.random.default_rng(64)
+    for dil, u in zip(dils, unitaries):
+        n, anc = dil.sys_dim, dil.anc_dim
+        # complete_to_unitary's column order: (r', 0) for every r', then
+        # (r', a != 0) with r' slow.
+        order = [r * anc for r in range(n)]
+        order += [r * anc + a for r in range(n) for a in range(1, anc)]
+        assert np.array_equal(u[:, order], complete_to_unitary(dil.isometry, rng=fresh))
+
+
+def traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("seeded", [False, True])
+def test_building_and_reading_the_unitary_holds_under_three_copies(seeded):
+    n = 6
+    dec = q.canonical_decompose(q.random_cptp(n, n * n, 67))
+    rng = np.random.default_rng(68) if seeded else None
+    peak = traced_peak(lambda: q.build_dilation_unitary(dec, rng=rng).u)
+    assert peak <= 2.6 * 16 * (n**3) ** 2
+
+
+def test_verify_dilation_memory_does_not_grow_with_trials():
+    dmap = q.random_cptp(2, 4, 69)
+    assert traced_peak(lambda: q.verify_dilation(dmap, trials=2000, seed=70)) < 0.25 * 2**20
