@@ -91,45 +91,49 @@ class DynamicalMap:
 
 
 @dataclass(frozen=True, eq=False)
-class KrausTerm:
-    """One canonical term: a real weight and a unit-HS-norm operator."""
-
-    weight: float
-    op: np.ndarray
-
-    def __post_init__(self):
-        op = _square_complex(self.op, "eigen-operator")
-        object.__setattr__(self, "op", op)
-        object.__setattr__(self, "weight", float(self.weight))
-        hs = float(np.linalg.norm(op))
-        if abs(hs - 1.0) > DEFAULT_TOL:
-            raise ValidationError(f"eigen-operator must have unit HS norm, got {hs:.12g}")
-
-
-@dataclass(frozen=True, eq=False)
 class CanonicalDecomposition:
-    """Eigen-expansion of a dynamical map, terms sorted by descending weight."""
+    """Eigen-expansion ``rho -> sum_a w_a L_a rho L_a^dagger`` of a dynamical map.
+
+    ``weights`` is the real array (w_a) of shape (nu,), sorted descending by
+    :func:`canonical_decompose`, and ``ops`` the complex array (L_a) of shape
+    (nu, N, N). The validator checks both are finite, that nu <= N^2, and,
+    from one Gram matrix of the flattened operators, that the L_a are
+    Hilbert-Schmidt orthonormal.
+    """
 
     dim: int
-    terms: tuple
+    weights: np.ndarray
+    ops: np.ndarray
 
     def __post_init__(self):
-        terms = tuple(self.terms)
-        object.__setattr__(self, "terms", terms)
-        if len(terms) > self.dim**2:
-            raise ValidationError(
-                f"{len(terms)} terms exceed the dim^2 = {self.dim ** 2} bound"
+        n = self.dim
+        weights = np.asarray(self.weights, dtype=float)
+        ops = np.asarray(self.ops, dtype=complex)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "ops", ops)
+        if ops.ndim != 3 or ops.shape[1:] != (n, n) or weights.shape != ops.shape[:1]:
+            raise DimensionMismatch(
+                f"weights {weights.shape} and eigen-operators {ops.shape} do not match "
+                f"(nu,) and (nu, {n}, {n})"
             )
-        for t in terms:
-            if t.op.shape != (self.dim, self.dim):
-                raise DimensionMismatch(
-                    f"eigen-operator shape {t.op.shape} does not match dim {self.dim}"
-                )
-        # overlaps[a, b] = |tr(L_a^dagger L_b)| for a < b, from one Gram product;
-        # the first offending pair in (a, b) order is reported.
-        ops = np.array([t.op for t in terms]).reshape(len(terms), self.dim**2)
-        overlaps = np.triu(np.abs(ops.conj() @ ops.T), 1)
-        offending = np.argwhere(overlaps > 1e-9)
+        nu = len(ops)
+        if not nu <= n * n:
+            raise ValidationError(f"{nu} terms exceed the dim^2 = {n * n} bound")
+        if not (np.isfinite(weights).all() and np.isfinite(ops).all()):
+            raise ValidationError("weights and eigen-operators must be finite")
+        flat = ops.reshape(nu, n * n)
+        gram = np.abs(flat.conj() @ flat.T)
+        norms = np.sqrt(np.diagonal(gram))
+        (bad,) = np.nonzero(~(np.abs(norms - 1.0) <= DEFAULT_TOL))
+        if len(bad):
+            a = bad[0]
+            raise ValidationError(
+                f"eigen-operator {a} must have unit HS norm, got {norms[a]:.12g}"
+            )
+        # overlaps[a, b] = |tr(L_a^dagger L_b)| for a < b; the first offending
+        # pair in (a, b) order is reported.
+        overlaps = np.triu(gram, 1)
+        offending = np.argwhere(~(overlaps <= 1e-9))
         if len(offending):
             a, b = offending[0]
             raise ValidationError(
@@ -138,7 +142,7 @@ class CanonicalDecomposition:
 
     @property
     def rank(self) -> int:
-        return len(self.terms)
+        return len(self.weights)
 
 
 @dataclass(frozen=True)
@@ -198,19 +202,16 @@ def canonical_decompose(
 ) -> CanonicalDecomposition:
     """Eigendecompose the dynamical matrix into weighted eigen-operators.
 
-    Eigenvalues with ``|w| <= trunc_tol * max|w|`` are dropped; each kept
-    eigenvector is reshaped row-major into its operator. The number of terms
-    never exceeds dim^2.
+    Eigenvalues with ``|w| <= trunc_tol * max|w|`` are dropped; the kept
+    eigenvalues are the weights, and each kept eigenvector is reshaped
+    row-major into its operator. The number of terms never exceeds dim^2.
     """
     n = dmap.dim
     vals, vecs = hermitian_eig(dmap.bmat, tol=1e-8)
-    scale = float(np.max(np.abs(vals))) if len(vals) else 0.0
-    terms = []
-    for w, v in zip(vals, vecs.T):
-        if scale == 0.0 or abs(w) <= trunc_tol * scale:
-            continue
-        terms.append(KrausTerm(float(w), v.reshape(n, n)))
-    return CanonicalDecomposition(dim=n, terms=tuple(terms))
+    keep = np.abs(vals) > trunc_tol * np.max(np.abs(vals), initial=0.0)
+    weights = vals[keep]
+    ops = vecs[:, keep].T.reshape(len(weights), n, n)
+    return CanonicalDecomposition(dim=n, weights=weights, ops=ops)
 
 
 def check_properties(dmap: DynamicalMap, tol: float = DEFAULT_TOL) -> MapProperties:

@@ -131,11 +131,11 @@ def _cmd_decompose(args, inputs, options):
     options["trunc_tol"] = trunc_tol
     dmap = _load_channel(args.channel, inputs)
     dec = canonical_decompose(dmap, trunc_tol)
-    rebuilt = map_from_kraus([(t.weight, t.op) for t in dec.terms], dec.dim)
+    rebuilt = map_from_kraus(zip(dec.weights, dec.ops), dec.dim)
     return {
         "dim": dec.dim,
         "num_terms": dec.rank,
-        "weights": [t.weight for t in dec.terms],
+        "weights": dec.weights.tolist(),
         "reconstruction_error": max_abs(rebuilt.bmat - dmap.bmat),
     }
 

@@ -15,7 +15,6 @@ is the one kernel that computes it. A channel is the one-sector case.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -44,8 +43,8 @@ from .linalg import (
     partial_trace_ancilla,
 )
 
-# Trace-preservation residual above which the isometry columns cannot be
-# orthonormal and construction fails early.
+# Isometry residual max|V^dagger V - I| above which a dilation's map counts
+# as not trace-preserving, not just as numerically off an isometry.
 TP_RESIDUAL_TOL = 1e-8
 
 # Label of the single sector of a channel dilation.
@@ -70,11 +69,15 @@ class Dilation:
     """Isometry into system (x) ancilla with the ancilla laid out in labeled sectors.
 
     ``isometry`` is the (sys_dim*anc_dim) x sys_dim block V whose column r' is
-    the image of |r'>|0>, and it is checked to be an isometry on construction,
-    in O(D N^2). The sectors partition the ancilla in order, and anc_dim is at
-    most len(sectors) * sys_dim^2. A channel dilation has a single sector.
-    Evolution and readout need only V; the unitary ``u``, whose columns
-    (r', 0) are V, is completed and checked the first time it is read.
+    the image of |r'>|0>. The sectors partition the ancilla in order, and
+    anc_dim is at most len(sectors) * sys_dim^2. A channel dilation has a
+    single sector. Construction forms V^dagger V once, in O(D N^2); since a
+    stacked V has V^dagger V = sum_a w_a L_a^dagger L_a, a residual
+    max|V^dagger V - I| above ``TP_RESIDUAL_TOL`` raises
+    :class:`NotTracePreserving`, itself a :class:`NotIsometry`, and one above
+    ``DEFAULT_TOL`` raises :class:`NotIsometry`. Evolution and readout need
+    only V; the unitary ``u``, whose columns (r', 0) are V, is completed and
+    checked the first time it is read.
     """
 
     sys_dim: int
@@ -113,7 +116,12 @@ class Dilation:
                 f"ancilla dim {self.anc_dim} exceeds num_sectors*sys_dim^2 = {bound}"
             )
         residual = _isometry_defect(iso)
-        if residual > DEFAULT_TOL:
+        if not residual <= TP_RESIDUAL_TOL:
+            raise NotTracePreserving(
+                f"sum of weighted L^dagger L deviates from identity by {residual:.3e}; "
+                "the isometry columns are not orthonormal"
+            )
+        if not residual <= DEFAULT_TOL:
             raise NotIsometry(f"isometry residual {residual:.3e} exceeds {DEFAULT_TOL:.1e}")
 
     @cached_property
@@ -137,7 +145,7 @@ class Dilation:
         # Free the unplaced copy before the check's temporaries.
         del u0
         residual = _unitarity_residual(u)
-        if residual > DEFAULT_TOL:
+        if not residual <= DEFAULT_TOL:
             raise NotIsometry(f"unitarity residual {residual:.3e} exceeds {DEFAULT_TOL:.1e}")
         object.__setattr__(self, "_residual", residual)
         return u
@@ -185,22 +193,20 @@ def _unitarity_residual(u: np.ndarray) -> float:
     return float(peaks.max())
 
 
-def _sqrt_weights(dec: CanonicalDecomposition) -> list:
+def _sqrt_weights(dec: CanonicalDecomposition) -> np.ndarray:
     """Square roots of the weights, clamping eigen-noise negatives to zero.
 
     A weight below -DEFAULT_TOL raises; that is the bound at which
     ``check_properties`` and ``Instrument`` call a map not CP, so a map dilates
     as a channel exactly when it does as a one-outcome instrument.
     """
-    roots = []
-    for t in dec.terms:
-        if t.weight < -DEFAULT_TOL:
-            raise NotCompletelyPositive(
-                f"negative weight {t.weight:.6g} has no real square root; "
-                "the map is not completely positive"
-            )
-        roots.append(math.sqrt(max(t.weight, 0.0)))
-    return roots
+    (negative,) = np.nonzero(dec.weights < -DEFAULT_TOL)
+    if len(negative):
+        raise NotCompletelyPositive(
+            f"negative weight {dec.weights[negative[0]]:.6g} has no real square root; "
+            "the map is not completely positive"
+        )
+    return np.sqrt(np.maximum(dec.weights, 0.0))
 
 
 def stack_isometry(parts) -> tuple:
@@ -209,28 +215,25 @@ def stack_isometry(parts) -> tuple:
     ``parts`` holds (label, decomposition) pairs, one per sector; returns
     ``(iso, sectors)`` with sqrt(w_a) L_a[r, r'] at composite row
     (r, slot of a). Weights below ``-DEFAULT_TOL`` raise
-    :class:`NotCompletelyPositive`. The columns are orthonormal exactly when
-    the combined map is trace-preserving, since iso^dagger iso = sum w L^dagger L,
-    so a residual above TP_RESIDUAL_TOL fails early with the physical reason.
+    :class:`NotCompletelyPositive`, and a map with no terms at all
+    :class:`NotTracePreserving`. Whether the columns are orthonormal, which
+    they are exactly when the combined map is trace-preserving, is left to
+    the :class:`Dilation` validator, so V^dagger V is formed once per build.
     """
     n = parts[0][1].dim
-    blocks = []
-    sectors = []
+    blocks, sectors = [], []
     for label, dec in parts:
-        start = len(blocks)
-        blocks += [root * t.op for root, t in zip(_sqrt_weights(dec), dec.terms)]
-        sectors.append(Sector(label=label, start=start, stop=len(blocks)))
-    nu = len(blocks)
-    # Composite row r * nu + a holds row r of block a.
-    iso = np.array(blocks, dtype=complex).reshape(nu, n, n).transpose(1, 0, 2)
-    iso = iso.reshape(n * nu, n)
-    tp_residual = _isometry_defect(iso)
-    if tp_residual > TP_RESIDUAL_TOL:
+        start = sectors[-1].stop if sectors else 0
+        sectors.append(Sector(label=label, start=start, stop=start + dec.rank))
+        blocks.append(_sqrt_weights(dec)[:, None, None] * dec.ops)
+    ops = np.concatenate(blocks)
+    nu = len(ops)
+    if not nu:
         raise NotTracePreserving(
-            f"sum of weighted L^dagger L deviates from identity by {tp_residual:.3e}; "
-            "the isometry columns would not be orthonormal"
+            "the map is zero: sum of weighted L^dagger L is 0, not the identity"
         )
-    return iso, tuple(sectors)
+    # Composite row r * nu + a holds row r of block a.
+    return ops.transpose(1, 0, 2).reshape(n * nu, n), tuple(sectors)
 
 
 def complete_dilation(iso: np.ndarray, sectors, rng=None) -> Dilation:
@@ -279,11 +282,12 @@ def sector_states(dil: Dilation, rho) -> list:
 def build_dilation_isometry(dec: CanonicalDecomposition) -> np.ndarray:
     """The (N*nu) x N isometry with sqrt(w_a) L_a[r, r'] at composite row (r, a).
 
-    Column r' is the image of |r'>|0>. A map that is not trace-preserving
-    raises :class:`NotTracePreserving`, one that is not completely positive
+    Column r' is the image of |r'>|0>; it is the ``isometry`` of the checked
+    :func:`build_dilation_unitary`. A map that is not trace-preserving raises
+    :class:`NotTracePreserving`, one that is not completely positive
     :class:`NotCompletelyPositive`.
     """
-    return stack_isometry([(CHANNEL_SECTOR, dec)])[0]
+    return build_dilation_unitary(dec).isometry
 
 
 def build_dilation_unitary(dec: CanonicalDecomposition, rng=None) -> Dilation:
@@ -292,8 +296,7 @@ def build_dilation_unitary(dec: CanonicalDecomposition, rng=None) -> Dilation:
     With ``rng`` None its completion to a unitary is deterministic; passing a
     seeded generator exercises the freedom in the unfixed columns.
     """
-    sectors = (Sector(label=CHANNEL_SECTOR, start=0, stop=dec.rank),)
-    return complete_dilation(build_dilation_isometry(dec), sectors, rng=rng)
+    return complete_dilation(*stack_isometry([(CHANNEL_SECTOR, dec)]), rng=rng)
 
 
 def simulate_via_dilation(dil: Dilation, rho) -> tuple:

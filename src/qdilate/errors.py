@@ -25,8 +25,8 @@ class NotCompletelyPositive(QDilateError):
     """Map has a negative canonical weight; no square root exists."""
 
 
-class NotTracePreserving(QDilateError):
-    """Kraus completeness sum differs from the identity."""
+class NotTracePreserving(NotIsometry):
+    """Kraus completeness sum differs from the identity, so V^dagger V != I."""
 
 
 class BadRank(QDilateError):

@@ -3,7 +3,7 @@
 Everything here operates on plain ``numpy`` arrays. Matrices on a composite
 system-plus-ancilla space use a single flat index with the system index slow
 and the ancilla index fast, ``|r>|alpha> -> r * dim_anc + alpha``, which is
-the ordering produced by ``kron(system, ancilla)``.
+the ordering produced by ``np.kron(system, ancilla)``.
 """
 
 from __future__ import annotations
@@ -32,11 +32,6 @@ def min_eigenvalue(m) -> float:
     return float(np.linalg.eigvalsh((m + dagger(m)) / 2).min())
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, first factor slow: (i*rowsB + k, j*colsB + l)."""
-    return np.kron(np.asarray(a), np.asarray(b))
-
-
 def partial_trace_ancilla(m: np.ndarray, dim_anc: int) -> np.ndarray:
     """Trace out the ancilla factor of a composite-space matrix.
 
@@ -52,15 +47,6 @@ def partial_trace_ancilla(m: np.ndarray, dim_anc: int) -> np.ndarray:
         )
     n = side // dim_anc
     return np.einsum("rasa->rs", m.reshape(n, dim_anc, n, dim_anc))
-
-
-def _fix_phase(col: np.ndarray) -> np.ndarray:
-    """Rotate a vector so its largest-magnitude component is real positive."""
-    k = int(np.argmax(np.abs(col)))
-    a = abs(col[k])
-    if a == 0.0:
-        return col
-    return col * (col[k].conj() / a)
 
 
 def _lex_key(col: np.ndarray):
@@ -89,8 +75,12 @@ def hermitian_eig(h: np.ndarray, tol: float = DEFAULT_TOL):
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
     vecs = vecs[:, order]
-    for j in range(vecs.shape[1]):
-        vecs[:, j] = _fix_phase(vecs[:, j])
+    # Rotate each column so its largest-magnitude component is real positive.
+    # np.hypot rounds as the scalar abs() of a complex number does, while
+    # np.abs of a complex array can differ in the last bit, which would
+    # change the operators and so U.
+    peak = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(len(vals))]
+    vecs *= peak.conj() / np.hypot(peak.real, peak.imag)
     # Reorder within groups of exactly equal eigenvalues.
     i = 0
     n = len(vals)
@@ -185,7 +175,7 @@ def complete_to_unitary(
         raise NotIsometry(f"{k} columns cannot be orthonormal in dimension {dim}")
     gram = np.einsum("ia,ib->ab", cols.conj(), cols)
     defect = max_abs(gram - np.eye(k))
-    if defect > tol:
+    if not defect <= tol:
         raise NotIsometry(f"columns deviate from orthonormal by {defect:.3e} (tol {tol:.1e})")
 
     out = np.empty((dim, dim), dtype=complex)

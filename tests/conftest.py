@@ -40,8 +40,8 @@ def make_split_instrument(dim: int, mu: int, seed, rank=None) -> q.Instrument:
     dec = q.canonical_decompose(q.random_cptp(dim, rank, rng))
     assert dec.rank >= mu
     groups = [[] for _ in range(mu)]
-    for j, term in enumerate(dec.terms):
-        groups[j % mu].append((term.weight, term.op))
+    for j, term in enumerate(zip(dec.weights, dec.ops)):
+        groups[j % mu].append(term)
     maps = tuple((f"o{i}", q.map_from_kraus(g, dim)) for i, g in enumerate(groups))
     return q.Instrument(dim=dim, maps=maps)
 

@@ -136,7 +136,7 @@ def test_criterion_5_padding_completes_without_changing_statistics():
     padded = q.pad_to_complete(inst)
     defect_norm = q.max_abs(q.check_completeness(padded)[1])
     dec = q.canonical_decompose(padded.maps[padded.padded_index][1])
-    kraus = np.sqrt(dec.terms[0].weight) * dec.terms[0].op
+    kraus = np.sqrt(dec.weights[0]) * dec.ops[0]
     kraus_err = q.max_abs(kraus - P1)
     stats_equal = True
     for seed in range(3):
@@ -165,10 +165,10 @@ def test_criterion_6_decomposition_round_trip_and_negative_weight(channel_corpus
         dmap = q.load_channel(channel_path(f"{name}.json"))
         maps.append((dmap, q.canonical_decompose(dmap)))
     for dmap, dec in maps:
-        rebuilt = q.map_from_kraus([(t.weight, t.op) for t in dec.terms], dmap.dim)
+        rebuilt = q.map_from_kraus(zip(dec.weights, dec.ops), dmap.dim)
         worst = max(worst, q.max_abs(rebuilt.bmat - dmap.bmat))
     transpose_dec = maps[-1][1]
-    negatives = [t.weight for t in transpose_dec.terms if t.weight < 0]
+    negatives = transpose_dec.weights[transpose_dec.weights < 0]
     negative_ok = len(negatives) == 1 and abs(negatives[0] + 1.0) <= 1e-9
     rejected = False
     try:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qdilate as q
 
@@ -73,23 +75,23 @@ def test_apply_map_amplitude_damping_half_on_excited_state():
 def test_canonical_decompose_identity_channel():
     dec = q.canonical_decompose(q.map_from_kraus([(1.0, IDENTITY2)], 2))
     assert dec.rank == 1
-    assert abs(dec.terms[0].weight - 2.0) < 1e-12
-    assert q.max_abs(dec.terms[0].op - IDENTITY2 / np.sqrt(2)) < 1e-12
+    assert abs(dec.weights[0] - 2.0) < 1e-12
+    assert q.max_abs(dec.ops[0] - IDENTITY2 / np.sqrt(2)) < 1e-12
 
 
 def test_canonical_decompose_depolarizer_is_degenerate_rank_four():
     dmap = depolarizing_map()
     dec = q.canonical_decompose(dmap)
     assert dec.rank == 4
-    assert all(abs(t.weight - 0.5) < 1e-12 for t in dec.terms)
-    rebuilt = q.map_from_kraus([(t.weight, t.op) for t in dec.terms], 2)
+    assert q.max_abs(dec.weights - 0.5) < 1e-12
+    rebuilt = q.map_from_kraus(zip(dec.weights, dec.ops), 2)
     assert q.max_abs(rebuilt.bmat - dmap.bmat) < 1e-12
 
 
 def test_canonical_decompose_transpose_exposes_negative_weight():
     dec = q.canonical_decompose(transpose_map())
-    weights = sorted(t.weight for t in dec.terms)
-    assert q.max_abs(np.array(weights) - np.array([-1.0, 1.0, 1.0, 1.0])) < 1e-9
+    weights = np.sort(dec.weights)
+    assert q.max_abs(weights - np.array([-1.0, 1.0, 1.0, 1.0])) < 1e-9
 
 
 def test_check_properties_identity_all_true():
@@ -125,7 +127,7 @@ def test_povm_effect_matches_decomposition_sum_and_traces():
     for dim in (2, 3):
         dmap = q.random_cptp(dim, 3, rng_seed + dim)
         dec = q.canonical_decompose(dmap)
-        explicit = sum(t.weight * (q.dagger(t.op) @ t.op) for t in dec.terms)
+        explicit = sum(w * (q.dagger(op) @ op) for w, op in zip(dec.weights, dec.ops))
         effect = q.povm_effect(dmap)
         assert q.max_abs(effect - explicit) < 1e-10
         rho = q.random_density(dim, rng_seed)
@@ -182,7 +184,7 @@ def test_decompose_round_trip_and_rank_bound():
         dmap = q.random_cptp(dim, rank, 3000 + seed)
         dec = q.canonical_decompose(dmap)
         assert dec.rank <= dim * dim
-        rebuilt = q.map_from_kraus([(t.weight, t.op) for t in dec.terms], dim)
+        rebuilt = q.map_from_kraus(zip(dec.weights, dec.ops), dim)
         assert q.max_abs(rebuilt.bmat - dmap.bmat) < 1e-9
 
 
@@ -197,7 +199,7 @@ def test_trace_preservation_flag_matches_decomposition_condition():
     for dmap in cases:
         props = q.check_properties(dmap)
         dec = q.canonical_decompose(dmap)
-        total = sum(t.weight * (q.dagger(t.op) @ t.op) for t in dec.terms)
+        total = sum(w * (q.dagger(op) @ op) for w, op in zip(dec.weights, dec.ops))
         residual = q.max_abs(total - np.eye(dmap.dim))
         assert props.trace_preserving == (residual <= q.DEFAULT_TOL)
 
@@ -208,7 +210,7 @@ def test_apply_map_agrees_with_decomposition_sum():
         rho = q.random_density(3, 600 + seed)
         dec = q.canonical_decompose(dmap)
         direct = q.apply_map(dmap, rho)
-        summed = sum(t.weight * (t.op @ rho.mat @ q.dagger(t.op)) for t in dec.terms)
+        summed = sum(w * (op @ rho.mat @ q.dagger(op)) for w, op in zip(dec.weights, dec.ops))
         assert q.max_abs(direct - summed) < 1e-9
 
 
@@ -231,25 +233,103 @@ def test_dynamical_map_validation():
 
 
 def test_kraus_term_requires_unit_norm_operator():
-    with pytest.raises(q.ValidationError):
-        q.KrausTerm(1.0, 2.0 * IDENTITY2)
+    with pytest.raises(q.ValidationError, match="eigen-operator 0 must have unit HS norm"):
+        q.CanonicalDecomposition(dim=2, weights=[1.0], ops=[2.0 * IDENTITY2])
 
 
 def test_canonical_decomposition_requires_orthogonal_operators():
-    t0 = q.KrausTerm(1.0, IDENTITY2 / np.sqrt(2))
+    op = IDENTITY2 / np.sqrt(2)
     with pytest.raises(q.ValidationError):
-        q.CanonicalDecomposition(dim=2, terms=(t0, t0))
+        q.CanonicalDecomposition(dim=2, weights=[1.0, 1.0], ops=[op, op])
 
 
 def test_canonical_decomposition_names_the_overlapping_pair():
-    terms = (
-        q.KrausTerm(1.0, P0),
-        q.KrausTerm(1.0, P1),
-        q.KrausTerm(1.0, X / np.sqrt(2)),
-        q.KrausTerm(1.0, (P1 + X) / np.sqrt(3)),
-    )
+    ops = [P0, P1, X / np.sqrt(2), (P1 + X) / np.sqrt(3)]
     with pytest.raises(q.ValidationError, match="eigen-operators 1 and 3 "):
-        q.CanonicalDecomposition(dim=2, terms=terms)
+        q.CanonicalDecomposition(dim=2, weights=np.ones(4), ops=ops)
+
+
+def test_canonical_decompose_equals_the_eigenpair_loop():
+    # Reference: keep the eigenpairs above the truncation bound one by one.
+    cases = [q.random_cptp(dim, rank, 19_000 + dim) for dim, rank in [(1, 1), (3, 5), (5, 25)]]
+    for dmap in cases + [transpose_map(), depolarizing_map()]:
+        n = dmap.dim
+        vals, vecs = q.hermitian_eig(dmap.bmat, tol=1e-8)
+        scale = max(abs(vals))
+        kept = [(w, v.reshape(n, n)) for w, v in zip(vals, vecs.T) if abs(w) > 1e-12 * scale]
+        dec = q.canonical_decompose(dmap)
+        assert np.array_equal(dec.weights, [w for w, _ in kept])
+        assert np.array_equal(dec.ops, [op for _, op in kept])
+
+
+@pytest.mark.parametrize(
+    "weights, ops",
+    [
+        ([np.nan], [IDENTITY2 / np.sqrt(2)]),  # NaN weight
+        ([np.inf], [IDENTITY2 / np.sqrt(2)]),  # infinite weight
+        ([1.0], [np.where(IDENTITY2 == 0, np.nan, IDENTITY2)]),  # NaN op
+    ],
+)
+def test_canonical_decomposition_refuses_non_finite_entries(weights, ops):
+    with pytest.raises(q.ValidationError, match="finite"):
+        q.CanonicalDecomposition(dim=2, weights=weights, ops=ops)
+
+
+def test_canonical_decomposition_checks_array_shapes():
+    op = IDENTITY2 / np.sqrt(2)
+    with pytest.raises(q.DimensionMismatch):
+        q.CanonicalDecomposition(dim=2, weights=[1.0, 1.0], ops=[op])
+    with pytest.raises(q.DimensionMismatch):
+        q.CanonicalDecomposition(dim=3, weights=[1.0], ops=[op])
+    with pytest.raises(q.DimensionMismatch):
+        q.CanonicalDecomposition(dim=2, weights=1.0, ops=op)
+    with pytest.raises(q.ValidationError, match="exceed the dim\\^2 = 4 bound"):
+        q.CanonicalDecomposition(dim=2, weights=np.ones(5), ops=np.zeros((5, 2, 2)))
+
+
+@st.composite
+def kraus_maps(draw):
+    """A map with N in 1..5 and Kraus rank 1..N^2, and whether it is CPTP.
+
+    ``cptp``: a random CPTP map; ``scaled``: the same times a factor at least
+    0.25 away from 1, CP but not TP; ``signed``: Gaussian Kraus operators with
+    weights of either sign, in general neither TP nor CP.
+    """
+    dim = draw(st.integers(1, 5))
+    rank = draw(st.integers(1, dim * dim))
+    kind = draw(st.sampled_from(["cptp", "scaled", "signed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "signed":
+        shape = (rank, dim, dim)
+        ops = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        weights = rng.choice([-1.0, 1.0], rank) * rng.uniform(0.1, 1.0, rank)
+        return q.map_from_kraus(zip(weights, ops), dim), rank, False
+    dmap = q.random_cptp(dim, rank, rng)
+    if kind == "scaled":
+        factor = draw(st.floats(0.1, 0.75) | st.floats(1.25, 2.0))
+        return q.DynamicalMap(factor * dmap.bmat), rank, False
+    return dmap, rank, True
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=kraus_maps())
+def test_decomposition_arrays_properties(case):
+    dmap, rank, cptp = case
+    n = dmap.dim
+    dec = q.canonical_decompose(dmap)
+    assert dec.weights.shape == (rank,)
+    assert dec.ops.shape == (rank, n, n)
+    assert np.all(np.diff(dec.weights) <= 0)
+    flat = dec.ops.reshape(rank, n * n)
+    assert q.max_abs(flat.conj() @ flat.T - np.eye(rank)) <= 1e-10
+    rebuilt = q.map_from_kraus(zip(dec.weights, dec.ops), n)
+    assert q.max_abs(rebuilt.bmat - dmap.bmat) <= 1e-10
+    if cptp:
+        iso = q.build_dilation_isometry(dec)
+        assert q.max_abs(q.dagger(iso) @ iso - np.eye(n)) <= q.DEFAULT_TOL
+    else:
+        with pytest.raises((q.NotTracePreserving, q.NotCompletelyPositive)):
+            q.build_dilation_isometry(dec)
 
 
 def test_random_density_is_valid_and_deterministic():

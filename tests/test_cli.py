@@ -59,6 +59,23 @@ def test_dilate_channel_reports_unitary(tmp_path):
     assert u.shape == (4, 4)
 
 
+def test_dilate_zero_channel_fails_as_not_trace_preserving(tmp_path):
+    spec = tmp_path / "zero.json"
+    identity = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    spec.write_text(
+        json.dumps(
+            {
+                "format_version": "1",
+                "dim": 2,
+                "representation": "kraus",
+                "data": [{"weight": 0.0, "matrix": identity}],
+            }
+        )
+    )
+    report = run_to_report(tmp_path, ["dilate", "--channel", str(spec)], expect_code=1)
+    assert report["error"]["code"] == "NotTracePreserving"
+
+
 def test_dilate_instrument_reports_sectors(tmp_path):
     report = run_to_report(
         tmp_path,

@@ -1,5 +1,6 @@
 """Channel dilations: isometry construction, completion, evolution, verification."""
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -121,7 +122,7 @@ def test_joint_state_purity_is_preserved():
     joint, _ = q.simulate_via_dilation(du, rho)
     anc0 = np.zeros((du.anc_dim, du.anc_dim), dtype=complex)
     anc0[0, 0] = 1.0
-    initial = q.kron(rho.mat, anc0)
+    initial = np.kron(rho.mat, anc0)
     assert abs(np.trace(joint @ joint) - np.trace(initial @ initial)) < 1e-9
     assert abs(np.trace(joint) - 1.0) < 1e-10
 
@@ -147,7 +148,7 @@ def full_unitary_joint_state(dil, rho):
     """Reference evolution ``U (rho (x) |0><0|) U^dagger`` with the whole of U."""
     anc0 = np.zeros((dil.anc_dim, dil.anc_dim), dtype=complex)
     anc0[0, 0] = 1.0
-    return dil.u @ q.kron(rho.mat, anc0) @ dil.u.conj().T
+    return dil.u @ np.kron(rho.mat, anc0) @ dil.u.conj().T
 
 
 @pytest.mark.parametrize("seeded", [False, True])
@@ -217,7 +218,7 @@ def negative_noise_map(weight):
     assert abs(vals[-1]) < 1e-14
     extra = vecs[:, -1].reshape(2, 2)
     dec = q.canonical_decompose(dmap)
-    terms = [(t.weight, t.op) for t in dec.terms] + [(weight, extra)]
+    terms = [*zip(dec.weights, dec.ops), (weight, extra)]
     return q.map_from_kraus(terms, 2)
 
 
@@ -308,6 +309,71 @@ def test_dilation_type_rejects_empty_ancilla():
         q.Dilation(sys_dim=2, anc_dim=0, isometry=np.zeros((0, 2)), sectors=())
 
 
+def test_isometry_equals_the_term_by_term_stacking():
+    # Reference: sqrt(w_a) L_a block by block, sector after sector.
+    for case in range(6):
+        inst = make_split_instrument(2 + case % 3, 1 + case % 3, 20_000 + case)
+        decs = [q.canonical_decompose(dmap) for _, dmap in inst.maps]
+        blocks = [
+            math.sqrt(max(w, 0.0)) * op for dec in decs for w, op in zip(dec.weights, dec.ops)
+        ]
+        n = inst.dim
+        ref = np.array(blocks).transpose(1, 0, 2).reshape(n * len(blocks), n)
+        assert np.array_equal(q.build_instrument_dilation(inst).isometry, ref)
+        if len(decs) == 1:
+            assert np.array_equal(q.build_dilation_isometry(decs[0]), ref)
+
+
+def test_dilation_type_rejects_nan_isometry():
+    with pytest.raises(q.NotIsometry):
+        q.Dilation(
+            sys_dim=1, anc_dim=1, isometry=np.array([[np.nan]]), sectors=(q.Sector("a", 0, 1),)
+        )
+
+
+def test_unitary_read_refuses_a_nan_residual(monkeypatch):
+    du = q.build_dilation_unitary(identity_decomposition())
+    monkeypatch.setattr(qdilate.dilation, "_unitarity_residual", lambda u: float("nan"))
+    with pytest.raises(q.NotIsometry):
+        du.u
+
+
+def test_not_trace_preserving_is_a_not_isometry():
+    # max|V^dagger V - I| = 3 is above the trace bound: the physical reason
+    # is raised, and callers that catch NotIsometry still catch it.
+    with pytest.raises(q.NotTracePreserving) as caught:
+        q.Dilation(
+            sys_dim=2, anc_dim=1, isometry=2 * IDENTITY2, sectors=(q.Sector("all", 0, 1),)
+        )
+    assert isinstance(caught.value, q.NotIsometry)
+
+
+def test_zero_map_is_not_trace_preserving():
+    dec = q.canonical_decompose(q.map_from_kraus([(0.0, IDENTITY2)], 2))
+    assert dec.rank == 0
+    with pytest.raises(q.NotTracePreserving):
+        q.build_dilation_isometry(dec)
+    with pytest.raises(q.NotTracePreserving):
+        q.build_dilation_unitary(dec)
+
+
+def test_isometry_is_checked_once_per_build(monkeypatch):
+    calls = []
+
+    def counting(iso):
+        calls.append(iso.shape)
+        return defect(iso)
+
+    defect = qdilate.dilation._isometry_defect
+    monkeypatch.setattr(qdilate.dilation, "_isometry_defect", counting)
+    dec = q.canonical_decompose(q.random_cptp(3, 5, 67))
+    q.build_dilation_unitary(dec, rng=np.random.default_rng(68))
+    assert calls == [(15, 3)]
+    inst = make_split_instrument(3, 2, 69, rank=6)
+    q.build_instrument_dilation(inst)
+    assert calls == [(15, 3), (18, 3)]
+
+
 def test_channel_dilation_is_one_sector_with_stored_residual():
     du = q.build_dilation_unitary(q.canonical_decompose(q.random_cptp(3, 5, 55)))
     assert [(s.start, s.stop) for s in du.sectors] == [(0, 5)]
@@ -318,7 +384,7 @@ def test_channel_dilation_is_one_sector_with_stored_residual():
 
 def test_dilation_type_rejects_isometry_off_by_less_than_the_trace_tolerance():
     # V^dagger V = (1 + 1e-9)^2 I: within the 1e-8 trace-preservation bound
-    # of stack_isometry, but not an isometry within DEFAULT_TOL.
+    # of the Dilation validator, but not an isometry within DEFAULT_TOL.
     dec = q.canonical_decompose(q.random_cptp(3, 4, 56))
     iso = q.build_dilation_isometry(dec) * (1 + 1e-9)
     with pytest.raises(q.NotIsometry):

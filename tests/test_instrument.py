@@ -59,7 +59,7 @@ def test_pad_appends_projector_kraus():
     assert padded.labels == ("0", "discard")
     dec = q.canonical_decompose(padded.maps[1][1])
     assert dec.rank == 1
-    kraus = np.sqrt(dec.terms[0].weight) * dec.terms[0].op
+    kraus = np.sqrt(dec.weights[0]) * dec.ops[0]
     assert q.max_abs(kraus - P1) < 1e-10
 
 
@@ -236,7 +236,7 @@ def test_measure_matches_full_unitary_sector_readout(seeded):
         rho = q.random_density(dim, 16_000 + case)
         anc0 = np.zeros((dil.anc_dim, dil.anc_dim), dtype=complex)
         anc0[0, 0] = 1.0
-        joint = dil.u @ q.kron(rho.mat, anc0) @ dil.u.conj().T
+        joint = dil.u @ np.kron(rho.mat, anc0) @ dil.u.conj().T
         j4 = joint.reshape(dim, dil.anc_dim, dim, dil.anc_dim)
         outcomes = q.measure_via_dilation(dil, rho)
         assert [o.label for o in outcomes] == [s.label for s in dil.sectors]

@@ -21,17 +21,6 @@ def test_dagger_is_conjugate_transpose():
     assert np.array_equal(q.dagger(m), expected)
 
 
-def test_kron_ordering_system_slow_ancilla_fast():
-    a = np.array([[1, 2], [3, 4]], dtype=complex)
-    b = np.array([[5, 6], [7, 8]], dtype=complex)
-    k = q.kron(a, b)
-    for r in range(2):
-        for s in range(2):
-            for al in range(2):
-                for be in range(2):
-                    assert k[r * 2 + al, s * 2 + be] == a[r, s] * b[al, be]
-
-
 @pytest.mark.parametrize(
     "m, dim_anc",
     [
@@ -52,7 +41,7 @@ def test_partial_trace_of_product_state_returns_system_factor():
     for _ in range(5):
         sys = random_hermitian(3, rng)
         anc = random_hermitian(2, rng)
-        reduced = q.partial_trace_ancilla(q.kron(sys, anc), 2)
+        reduced = q.partial_trace_ancilla(np.kron(sys, anc), 2)
         assert q.max_abs(reduced - sys * np.trace(anc)) < 1e-12
 
 
@@ -93,6 +82,20 @@ def test_hermitian_eig_phase_convention():
     for col in vecs.T:
         lead = col[np.argmax(np.abs(col))]
         assert abs(lead.imag) < 1e-12 and lead.real > 0
+
+
+def test_hermitian_eig_phase_equals_the_column_by_column_rotation():
+    # The rotation is one array expression; it must give the bits of rotating
+    # each eigenvector by conj(lead) / abs(lead) with Python's scalar abs.
+    rng = np.random.default_rng(7)
+    for dim in (1, 2, 3, 5, 8, 16):
+        h = random_hermitian(dim, rng)
+        vals, vecs = np.linalg.eigh(h)
+        ref = vecs[:, np.argsort(-vals, kind="stable")]
+        for j in range(dim):
+            lead = ref[np.argmax(np.abs(ref[:, j])), j]
+            ref[:, j] = ref[:, j] * (lead.conj() / abs(lead))
+        assert np.array_equal(q.hermitian_eig(h)[1], ref)
 
 
 def test_hermitian_eig_deterministic_on_degenerate_input():
@@ -198,6 +201,11 @@ def test_complete_to_unitary_properties(cols, seed):
         assert q.max_abs(u1 - u) > 1e-6
     else:
         assert np.array_equal(u1, u)
+
+
+def test_complete_to_unitary_refuses_nan_columns():
+    with pytest.raises(q.NotIsometry):
+        q.complete_to_unitary(np.array([[np.nan], [0.0]]))
 
 
 def test_max_abs():
