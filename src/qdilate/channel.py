@@ -46,15 +46,14 @@ class DensityMatrix:
     def __post_init__(self, tol):
         mat = _square_complex(self.mat, "density matrix")
         object.__setattr__(self, "mat", mat)
-        if max_abs(mat - dagger(mat)) > tol:
-            raise ValidationError(
-                f"density matrix must be Hermitian (deviation {max_abs(mat - dagger(mat)):.3e})"
-            )
+        herm = max_abs(mat - dagger(mat))
+        if not herm <= tol:
+            raise ValidationError(f"density matrix must be Hermitian (deviation {herm:.3e})")
         tr = np.trace(mat)
-        if abs(tr - 1.0) > tol:
+        if not abs(tr - 1.0) <= tol:
             raise ValidationError(f"density matrix must have unit trace (trace {tr:.6g})")
         min_eig = min_eigenvalue(mat)
-        if min_eig < -tol:
+        if not min_eig >= -tol:
             raise ValidationError(
                 f"density matrix must be positive semidefinite (min eigenvalue {min_eig:.3e})"
             )
@@ -79,7 +78,7 @@ class DynamicalMap:
         if dim * dim != side:
             raise DimensionMismatch(f"dynamical matrix side {side} is not a perfect square")
         herm = max_abs(bmat - dagger(bmat))
-        if herm > tol:
+        if not herm <= tol:
             raise ValidationError(
                 "dynamical matrix must be Hermitian, i.e. the map must preserve "
                 f"Hermiticity (deviation {herm:.3e}, tol {tol:.1e})"

@@ -10,8 +10,8 @@ files and flags; stochastic subcommands require an explicit --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
-import json
 import sys
 
 from .channel import (
@@ -34,12 +34,12 @@ from .instrument import (
     sample_outcomes,
 )
 from .io import (
-    encode_matrix,
     load_channel,
     load_instrument,
     load_state,
     save_channel_spec,
     save_instrument_spec,
+    write_json,
 )
 from .linalg import DEFAULT_TOL, max_abs
 
@@ -91,7 +91,7 @@ def _outcome_rows(outcomes) -> list:
             {
                 "label": o.label,
                 "probability": o.probability,
-                "post_state": None if o.post_state is None else encode_matrix(o.post_state.mat),
+                "post_state": None if o.post_state is None else o.post_state.mat,
             }
         )
     return rows
@@ -155,7 +155,7 @@ def _cmd_dilate(args, inputs, options):
             {"label": s.label, "start": s.start, "stop": s.stop} for s in dil.sectors
         ],
         "unitarity_residual": dil.unitarity_residual,
-        "unitary": encode_matrix(dil.u),
+        "unitary": dil.u,
     }
 
 
@@ -305,19 +305,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # Built once per process: parsing and usage errors leave it unchanged.
+    return build_parser()
+
+
 def save_report(report: dict, path=None) -> None:
-    """Serialize a report with stable field order and full float precision."""
-    text = json.dumps(report, indent=2) + "\n"
+    """Serialize a report with stable field order and full float precision.
+
+    The text is that of ``json.dumps(report, indent=2)``; matrices in the
+    report are ndarrays, streamed row by row.
+    """
     if path is None:
-        sys.stdout.write(text)
+        write_json(report, sys.stdout)
     else:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            write_json(report, fh)
 
 
 def run_command(argv) -> int:
     """Parse arguments, run one subcommand, emit its report, return exit status."""
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     inputs = {}
     options = {}
     report = {"command": args.command, "inputs": inputs, "options": options}

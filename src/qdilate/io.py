@@ -5,7 +5,8 @@ diff-friendly and parseable without complex-literal syntax. Channel payloads
 come in two representations: "kraus" (a list of weighted operators) and
 "dynamical_matrix" (the dim^2 x dim^2 matrix itself). Structural problems
 raise ParseError; files that parse but break a physical invariant raise
-ValidationError naming the invariant.
+ValidationError naming the invariant. Spec files, like the CLI's reports, are
+written by :func:`write_json`, which streams matrices row by row.
 """
 
 from __future__ import annotations
@@ -25,14 +26,36 @@ FORMAT_VERSION = "1"
 LOAD_HERMITICITY_TOL = 1e-8
 
 
+def _float_pairs(m) -> np.ndarray:
+    """The float view of a complex array with [re, im] along a new last axis."""
+    m = np.ascontiguousarray(m, dtype=complex)
+    return m.view(float).reshape(m.shape + (2,))
+
+
 def encode_matrix(m) -> list:
     """Nested lists with each complex entry as a [re, im] pair."""
-    m = np.asarray(m, dtype=complex)
-    return [[[float(v.real), float(v.imag)] for v in row] for row in m]
+    return _float_pairs(m).tolist()
 
 
 def decode_matrix(obj, where: str) -> np.ndarray:
-    """Parse nested [re, im] lists back into a complex matrix."""
+    """Parse nested [re, im] lists back into a complex matrix.
+
+    A well-formed matrix is converted by one ``np.array`` call, which also
+    reads tuples and arrays of that shape; anything else goes through the
+    entry-by-entry loop, which names the bad entry.
+    """
+    try:
+        pairs = np.array(obj)
+    except (ValueError, TypeError, OverflowError):
+        pairs = None
+    if (
+        pairs is not None
+        and pairs.dtype.kind in "biuf"
+        and pairs.ndim == 3
+        and pairs.shape[0]
+        and pairs.shape[2] == 2
+    ):
+        return np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0]
     if not isinstance(obj, list) or not obj:
         raise ParseError(f"{where}: expected a non-empty list of rows")
     width = None
@@ -53,9 +76,74 @@ def decode_matrix(obj, where: str) -> np.ndarray:
             )
             if not ok:
                 raise ParseError(f"{where}[{r}][{c}]: expected a [re, im] pair")
-            vals.append(complex(entry[0], entry[1]))
+            try:
+                vals.append(complex(entry[0], entry[1]))
+            except OverflowError:
+                raise ParseError(f"{where}[{r}][{c}]: entry is too large for a float") from None
         rows.append(vals)
     return np.array(rows, dtype=complex)
+
+
+def write_json(obj, fh) -> None:
+    """Write the text of ``json.dumps(obj, indent=2) + "\\n"`` to ``fh``.
+
+    A 2-d ndarray is written as :func:`encode_matrix` would encode it, one
+    row at a time: ``repr`` of the row's list formats its floats with the
+    ``float.__repr__`` json uses, and two ``str.replace`` calls add the
+    indented [re, im] layout. Every other value is formatted by
+    ``json.dumps`` itself.
+    """
+    _write(obj, fh.write, "\n")
+    fh.write("\n")
+
+
+def _write(obj, write, nl: str) -> None:
+    # nl is a newline followed by the indent of the line obj starts on.
+    if isinstance(obj, np.ndarray):
+        _write_matrix(obj, write, nl)
+    elif isinstance(obj, (list, tuple)) and obj:
+        inner = nl + "  "
+        head = "[" + inner
+        for value in obj:
+            write(head)
+            _write(value, write, inner)
+            head = "," + inner
+        write(nl + "]")
+    elif isinstance(obj, dict) and obj:
+        inner = nl + "  "
+        head = "{" + inner
+        for key, value in obj.items():
+            # json's own key coercion, cut out of a one-entry object.
+            write(head + json.dumps({key: 0})[1:-4] + ": ")
+            _write(value, write, inner)
+            head = "," + inner
+        write(nl + "}")
+    else:
+        write(json.dumps(obj))
+
+
+def _write_matrix(m: np.ndarray, write, nl: str) -> None:
+    if m.ndim != 2:
+        raise TypeError(f"only 2-d arrays can be written as matrices, got shape {m.shape}")
+    if not m.size:
+        _write(encode_matrix(m), write, nl)
+        return
+    pairs = _float_pairs(m)
+    finite = bool(np.isfinite(pairs).all())
+    row_nl, pair_nl, part_nl = nl + "  ", nl + "    ", nl + "      "
+    open_row = "[" + pair_nl + "[" + part_nl
+    close_row = pair_nl + "]" + row_nl + "]"
+    head = "[" + row_nl
+    for row in pairs:
+        # "[[a, b], [c, d]]" -> the indented pairs between open_row and close_row.
+        text = repr(row.tolist())[2:-2]
+        text = text.replace("], [", pair_nl + "]," + pair_nl + "[" + part_nl)
+        text = text.replace(", ", "," + part_nl)
+        if not finite:
+            text = text.replace("nan", "NaN").replace("inf", "Infinity")
+        write(head + open_row + text + close_row)
+        head = "," + row_nl
+    write(nl + "]")
 
 
 def _read_document(path) -> dict:
@@ -94,13 +182,19 @@ def _decode_channel_payload(obj: dict, dim: int, where: str) -> DynamicalMap:
             weight = item.get("weight", 1.0)
             if not isinstance(weight, numbers.Real):
                 raise ParseError(f"{where}: kraus term {k} weight must be real")
+            try:
+                weight = float(weight)
+            except OverflowError:
+                raise ParseError(
+                    f"{where}: kraus term {k} weight is too large for a float"
+                ) from None
             op = decode_matrix(item["matrix"], f"{where} kraus term {k}")
             if op.shape != (dim, dim):
                 raise ValidationError(
                     f"{where}: kraus operator {k} has shape {op.shape}, "
                     f"expected ({dim}, {dim})"
                 )
-            terms.append((float(weight), op))
+            terms.append((weight, op))
         return map_from_kraus(terms, dim)
     if representation == "dynamical_matrix":
         bmat = decode_matrix(data, f"{where} dynamical matrix")
@@ -129,7 +223,7 @@ def save_channel_spec(path, dmap: DynamicalMap, metadata: dict = None) -> None:
         "format_version": FORMAT_VERSION,
         "dim": dmap.dim,
         "representation": "dynamical_matrix",
-        "data": encode_matrix(dmap.bmat),
+        "data": dmap.bmat,
     }
     if metadata:
         doc["metadata"] = metadata
@@ -165,7 +259,7 @@ def save_instrument_spec(path, inst: Instrument, metadata: dict = None) -> None:
             {
                 "label": label,
                 "representation": "dynamical_matrix",
-                "data": encode_matrix(dmap.bmat),
+                "data": dmap.bmat,
             }
         )
     doc = {
@@ -197,7 +291,7 @@ def save_state_spec(path, rho: DensityMatrix, metadata: dict = None) -> None:
     doc = {
         "format_version": FORMAT_VERSION,
         "dim": rho.dim,
-        "matrix": encode_matrix(rho.mat),
+        "matrix": rho.mat,
     }
     if metadata:
         doc["metadata"] = metadata
@@ -206,5 +300,4 @@ def save_state_spec(path, rho: DensityMatrix, metadata: dict = None) -> None:
 
 def _write_document(path, doc: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+        write_json(doc, fh)

@@ -67,10 +67,9 @@ def hermitian_eig(h: np.ndarray, tol: float = DEFAULT_TOL):
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {h.shape}")
-    if max_abs(h - dagger(h)) > tol:
-        raise NotHermitian(
-            f"matrix deviates from Hermitian by {max_abs(h - dagger(h)):.3e} (tol {tol:.1e})"
-        )
+    defect = max_abs(h - dagger(h))
+    if not defect <= tol:
+        raise NotHermitian(f"matrix deviates from Hermitian by {defect:.3e} (tol {tol:.1e})")
     vals, vecs = np.linalg.eigh(h)
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
@@ -102,7 +101,7 @@ def psd_sqrt(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     an eigenvalue below ``-tol`` raises :class:`NotPSD`.
     """
     vals, vecs = hermitian_eig(m, tol)
-    if vals.min() < -tol:
+    if not vals.min() >= -tol:
         raise NotPSD(f"minimum eigenvalue {vals.min():.3e} below -{tol:.1e}")
     clamped = np.where(vals < tol, 0.0, vals)
     root = (vecs * np.sqrt(clamped)) @ dagger(vecs)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdilate as q
+from qdilate import channel
 
 from conftest import IDENTITY2, P0, P1, X
 
@@ -230,6 +231,32 @@ def test_dynamical_map_validation():
         q.DynamicalMap(np.array([[0.0, 1.0], [0.0, 0.0]]).repeat(2, 0).repeat(2, 1))
     with pytest.raises(q.DimensionMismatch):
         q.DynamicalMap(np.eye(3))
+
+
+@pytest.fixture
+def without_finiteness_check(monkeypatch):
+    """Let non-finite matrices reach the validators' own gates."""
+    monkeypatch.setattr(channel, "_square_complex", lambda m, name: np.asarray(m, dtype=complex))
+    return monkeypatch
+
+
+NAN_DIAGONAL = np.diag([np.nan, 1.0])
+
+
+def test_density_matrix_gates_refuse_nan(without_finiteness_check):
+    with pytest.raises(q.ValidationError, match="Hermitian"):
+        q.DensityMatrix(NAN_DIAGONAL)
+    without_finiteness_check.setattr(channel, "min_eigenvalue", lambda m: float("nan"))
+    with pytest.raises(q.ValidationError, match="positive semidefinite"):
+        q.DensityMatrix(np.diag([1.0, 0.0]))
+    without_finiteness_check.setattr(channel, "max_abs", lambda m: 0.0)
+    with pytest.raises(q.ValidationError, match="unit trace"):
+        q.DensityMatrix(NAN_DIAGONAL)
+
+
+def test_dynamical_map_gate_refuses_nan(without_finiteness_check):
+    with pytest.raises(q.ValidationError, match="Hermitian"):
+        q.DynamicalMap(np.diag([np.nan, 1.0, 1.0, 1.0]))
 
 
 def test_kraus_term_requires_unit_norm_operator():

@@ -10,11 +10,19 @@ from qdilate.cli import run_command
 from conftest import channel_path, instrument_path, state_path
 
 
+def load_written(path):
+    """Parse a report or spec file, checking it against the stdlib encoder."""
+    text = path.read_text(encoding="utf-8")
+    doc = json.loads(text)
+    assert text == json.dumps(doc, indent=2) + "\n"
+    return doc
+
+
 def run_to_report(tmp_path, args, expect_code=0):
     out = tmp_path / "report.json"
     code = run_command([*args, "--out", str(out)])
     assert code == expect_code
-    return json.loads(out.read_text())
+    return load_written(out)
 
 
 def test_check_channel_reports_transpose_as_non_cp(tmp_path):
@@ -121,6 +129,7 @@ def test_verify_reports_are_byte_identical_for_same_seed(tmp_path):
     assert run_command([*args, "--out", str(out1)]) == 0
     assert run_command([*args, "--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+    load_written(out1)
 
 
 def test_measure_basis_instrument_on_plus(tmp_path):
@@ -224,6 +233,7 @@ def test_pad_writes_complete_spec(tmp_path):
     assert report["results"]["was_complete"] is False
     assert report["results"]["padded_index"] == 1
     assert report["results"]["defect_norm_after"] <= 1e-10
+    load_written(spec_out)
     loaded = q.load_instrument(spec_out)
     assert loaded.complete
     assert loaded.padded_index == 1
@@ -247,6 +257,7 @@ def test_random_emits_loadable_cptp_spec(tmp_path):
     )
     assert report["results"]["trace_preserving"] is True
     assert report["results"]["completely_positive"] is True
+    load_written(spec_out)
     dmap = q.load_channel(spec_out)
     verify = q.verify_dilation(dmap, trials=3, seed=0)
     assert verify.max_error <= 1e-9
@@ -259,6 +270,42 @@ def test_random_spec_is_byte_identical_for_same_seed(tmp_path):
     run_to_report(tmp_path, [*base, "--spec-out", str(a)])
     run_to_report(tmp_path, [*base, "--spec-out", str(b)])
     assert a.read_bytes() == b.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "field, message",
+    [
+        ("weight", "kraus term 0 weight is too large for a float"),
+        ("entry", "kraus term 0[0][0]: entry is too large for a float"),
+    ],
+)
+def test_integer_too_large_for_a_float_is_a_parse_error(tmp_path, field, message):
+    huge = 10**400
+    pair = [huge, 0.0] if field == "entry" else [1.0, 0.0]
+    weight = huge if field == "weight" else 1.0
+    spec = tmp_path / "huge.json"
+    spec.write_text(
+        json.dumps(
+            {
+                "format_version": "1",
+                "dim": 1,
+                "representation": "kraus",
+                "data": [{"weight": weight, "matrix": [[pair]]}],
+            }
+        )
+    )
+    report = run_to_report(tmp_path, ["check", "--channel", str(spec)], expect_code=1)
+    assert report["error"]["code"] == "ParseError"
+    assert report["error"]["message"].endswith(message)
+
+
+def test_reports_after_usage_errors_are_unchanged(tmp_path):
+    args = ["dilate", "--channel", str(channel_path("bit_flip.json"))]
+    before = run_to_report(tmp_path, args)
+    for bad in (["frobnicate"], ["dilate"], ["verify", "--channel", "x", "--seed", "-1"]):
+        with pytest.raises(SystemExit):
+            run_command(bad)
+    assert run_to_report(tmp_path, args) == before
 
 
 def test_missing_input_file_gives_error_report(tmp_path):

@@ -1,11 +1,15 @@
 """File formats: complex encoding, loading, validation, round trips."""
 
 import json
+from io import StringIO
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qdilate as q
+from qdilate.io import write_json
 
 from conftest import IDENTITY2, P0, channel_path, instrument_path, state_path
 
@@ -17,15 +21,26 @@ def test_encode_decode_matrix_round_trip():
     assert np.array_equal(decoded, m)
 
 
+# Malformed matrices and the ParseError message naming what is wrong.
+MALFORMED = [
+    ([[1.0, 2.0]], "m[0][0]: expected a [re, im] pair"),
+    ([[[1.0, 2.0, 3.0]]], "m[0][0]: expected a [re, im] pair"),
+    ([[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]], "m[1]: row length 2 differs from 1"),
+    ("nope", "m: expected a non-empty list of rows"),
+    ([[["a", 1.0]]], "m[0][0]: expected a [re, im] pair"),
+    ([[[None, 1.0]]], "m[0][0]: expected a [re, im] pair"),
+    (None, "m: expected a non-empty list of rows"),
+    ([[[[1.0, 0.0], [0.0, 1.0]]]], "m[0][0]: expected a [re, im] pair"),
+    ([], "m: expected a non-empty list of rows"),
+    ([[[1.0, 0.0], [10**400, 0.5]]], "m[0][1]: entry is too large for a float"),
+]
+
+
 def test_decode_matrix_rejects_malformed_entries():
-    with pytest.raises(q.ParseError):
-        q.decode_matrix([[1.0, 2.0]], "bad")
-    with pytest.raises(q.ParseError):
-        q.decode_matrix([[[1.0, 2.0, 3.0]]], "bad")
-    with pytest.raises(q.ParseError):
-        q.decode_matrix([[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]], "ragged")
-    with pytest.raises(q.ParseError):
-        q.decode_matrix("nope", "bad")
+    for obj, message in MALFORMED:
+        with pytest.raises(q.ParseError) as info:
+            q.decode_matrix(obj, "m")
+        assert str(info.value) == message
 
 
 def test_shipped_channel_fixtures_load(tmp_path):
@@ -163,3 +178,92 @@ def test_load_state_rejects_invalid_state(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(q.ValidationError):
         q.load_state(path)
+
+
+SPECIAL_FLOATS = (0.0, -0.0, 5e-324, 1e-5, 1e16, 1e22, np.nan, np.inf, -np.inf)
+
+
+@st.composite
+def complex_arrays(draw):
+    shape = draw(
+        st.one_of(
+            st.just((1, 1)),
+            st.tuples(st.just(1), st.integers(1, 5)),
+            st.tuples(st.integers(1, 5), st.just(1)),
+            st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        )
+    )
+    parts = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+    flat = draw(st.lists(parts, min_size=2 * shape[0] * shape[1], max_size=2 * shape[0] * shape[1]))
+    return np.array(flat, dtype=float).view(complex).reshape(shape)
+
+
+def json_trees(leaves):
+    keys = st.one_of(st.text(), st.integers(), st.floats(), st.booleans(), st.none())
+    return st.recursive(
+        leaves,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=4).map(tuple),
+            st.dictionaries(keys, inner, max_size=4),
+        ),
+        max_leaves=12,
+    )
+
+
+SCALARS = st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text())
+
+
+def encode_arrays(tree):
+    """The tree json.dumps sees once every array is an encode_matrix list."""
+    if isinstance(tree, np.ndarray):
+        return q.encode_matrix(tree)
+    if isinstance(tree, (list, tuple)):
+        return [encode_arrays(v) for v in tree]
+    if isinstance(tree, dict):
+        return {k: encode_arrays(v) for k, v in tree.items()}
+    return tree
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=json_trees(st.one_of(SCALARS, complex_arrays())))
+def test_write_json_equals_json_dumps_indent_2(tree):
+    buf = StringIO()
+    write_json(tree, buf)
+    assert buf.getvalue() == json.dumps(encode_arrays(tree), indent=2) + "\n"
+
+
+def test_write_json_refuses_arrays_that_are_not_matrices():
+    with pytest.raises(TypeError, match="2-d"):
+        write_json({"v": np.zeros(3)}, StringIO())
+
+
+def decode_by_entry(obj):
+    """Reference decoder: one complex() per [re, im] pair."""
+    return np.array([[complex(re, im) for re, im in row] for row in obj], dtype=complex)
+
+
+PAIR_PARTS = {
+    "floats": st.floats(),
+    "ints": st.integers(-(2**1023), 2**1023),
+    "bools": st.booleans(),
+    "mixed": st.one_of(st.floats(), st.integers(-(2**70), 2**70)),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    kind=st.sampled_from(sorted(PAIR_PARTS)),
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+)
+def test_decode_matrix_equals_the_entry_by_entry_reference(data, kind, shape):
+    rows, cols = shape
+    pair = st.lists(PAIR_PARTS[kind], min_size=2, max_size=2)
+    row = st.lists(pair, min_size=cols, max_size=cols)
+    obj = data.draw(st.lists(row, min_size=rows, max_size=rows))
+    got = q.decode_matrix(obj, "m")
+    want = decode_by_entry(obj)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdilate as q
+from qdilate import linalg
 
 from conftest import IDENTITY2, P0, P1, X
 
@@ -63,6 +64,19 @@ def test_partial_trace_preserves_trace():
 def test_hermitian_eig_rejects_non_hermitian():
     with pytest.raises(q.NotHermitian):
         q.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def test_hermitian_eig_refuses_nan():
+    with pytest.raises(q.NotHermitian, match="by nan"):
+        q.hermitian_eig(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+
+
+def test_hermitian_eig_measures_the_hermiticity_defect_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(linalg, "max_abs", lambda m: calls.append(m) or q.max_abs(m))
+    with pytest.raises(q.NotHermitian, match="by 1.000e"):
+        q.hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    assert len(calls) == 1
 
 
 def test_hermitian_eig_descending_and_reconstructs():
@@ -129,6 +143,18 @@ def test_psd_sqrt_of_diagonal():
 def test_psd_sqrt_rejects_negative_eigenvalue():
     with pytest.raises(q.NotPSD):
         q.psd_sqrt(np.diag([1.0, -1.0]))
+
+
+def test_psd_sqrt_refuses_nan(monkeypatch):
+    with pytest.raises(q.NotHermitian):
+        q.psd_sqrt(np.diag([np.nan, 1.0]))
+    # The PSD gate itself, reached by a NaN eigenvalue.
+    def nan_eig(m, tol):
+        return np.array([1.0, np.nan]), np.eye(2)
+
+    monkeypatch.setattr(linalg, "hermitian_eig", nan_eig)
+    with pytest.raises(q.NotPSD):
+        q.psd_sqrt(np.eye(2))
 
 
 def test_complete_to_unitary_keeps_input_columns():
