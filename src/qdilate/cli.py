@@ -197,9 +197,7 @@ def _cmd_sample(args, inputs, options):
 
 def _cmd_pad(args, inputs, options):
     inst = _load_instrument(args.instrument, inputs)
-    before = max_abs(check_completeness(inst)[1])
     padded = pad_to_complete(inst)
-    after = max_abs(check_completeness(padded)[1])
     if args.spec_out is not None:
         options["spec_out"] = str(args.spec_out)
         save_instrument_spec(args.spec_out, padded)
@@ -208,8 +206,8 @@ def _cmd_pad(args, inputs, options):
         "was_complete": inst.complete,
         "padded_index": padded.padded_index,
         "labels": list(padded.labels),
-        "defect_norm_before": before,
-        "defect_norm_after": after,
+        "defect_norm_before": max_abs(inst.defect),
+        "defect_norm_after": max_abs(padded.defect),
     }
 
 

@@ -15,7 +15,7 @@ is the one kernel that computes it. A channel is the one-sector case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -84,9 +84,6 @@ class Dilation:
     anc_dim: int
     isometry: np.ndarray
     sectors: tuple
-    # Standard-normal draws a seeded completion mixes the complement with,
-    # taken from the caller's generator at build time; empty if unseeded.
-    _mixing: tuple = field(default=(), repr=False)
 
     def __post_init__(self):
         iso = np.asarray(self.isometry, dtype=complex)
@@ -130,14 +127,13 @@ class Dilation:
 
         Columns (r', 0) are the isometry, bit for bit; columns (r', a != 0)
         take the Householder complement of :func:`complete_to_unitary` in
-        order, mixed with the build-time draws if the dilation was seeded.
+        order. Any other completion gives the same evolution of rho (x) |0><0|.
         The dense residual max|U^dagger U - I| above ``DEFAULT_TOL`` raises
         :class:`NotIsometry`; otherwise it is kept as ``unitarity_residual``.
         """
         n, anc_dim = self.sys_dim, self.anc_dim
         size = n * anc_dim
-        rng = _Replay(self._mixing) if self._mixing else None
-        u0 = complete_to_unitary(self.isometry, tol=TP_RESIDUAL_TOL, rng=rng)
+        u0 = complete_to_unitary(self.isometry, tol=TP_RESIDUAL_TOL)
         u = np.empty((size, size), dtype=complex)
         slots = u.reshape(size, n, anc_dim)
         slots[:, :, 0] = u0[:, :n]
@@ -155,16 +151,6 @@ class Dilation:
         """max|U^dagger U - I| of the completed unitary; reads ``u`` first."""
         self.u
         return self._residual
-
-
-class _Replay:
-    """Stands in for a generator, returning the normal draws it made in order."""
-
-    def __init__(self, draws):
-        self._draws = iter(draws)
-
-    def standard_normal(self, shape):
-        return next(self._draws)
 
 
 def _isometry_defect(iso: np.ndarray) -> float:
@@ -209,11 +195,11 @@ def _sqrt_weights(dec: CanonicalDecomposition) -> np.ndarray:
     return np.sqrt(np.maximum(dec.weights, 0.0))
 
 
-def stack_isometry(parts) -> tuple:
-    """Stack sqrt(w) L sector by sector into the (N*nu) x N dilation isometry.
+def stack_isometry(parts) -> Dilation:
+    """Stack sqrt(w) L sector by sector into the :class:`Dilation` of the maps.
 
-    ``parts`` holds (label, decomposition) pairs, one per sector; returns
-    ``(iso, sectors)`` with sqrt(w_a) L_a[r, r'] at composite row
+    ``parts`` holds (label, decomposition) pairs, one per sector; the
+    (N*nu) x N isometry has sqrt(w_a) L_a[r, r'] at composite row
     (r, slot of a). Weights below ``-DEFAULT_TOL`` raise
     :class:`NotCompletelyPositive`, and a map with no terms at all
     :class:`NotTracePreserving`. Whether the columns are orthonormal, which
@@ -233,30 +219,8 @@ def stack_isometry(parts) -> tuple:
             "the map is zero: sum of weighted L^dagger L is 0, not the identity"
         )
     # Composite row r * nu + a holds row r of block a.
-    return ops.transpose(1, 0, 2).reshape(n * nu, n), tuple(sectors)
-
-
-def complete_dilation(iso: np.ndarray, sectors, rng=None) -> Dilation:
-    """Build the :class:`Dilation` of a stacked isometry over the given sectors.
-
-    The isometry is stored as given; its unitary is completed only when
-    ``Dilation.u`` is read, with the isometry as columns (r', 0), bit for bit,
-    and the Householder complement of :func:`complete_to_unitary` in the
-    other columns, which do not affect the reduced dynamics. With ``rng``
-    None the unitary is deterministic. A seeded generator mixes the
-    complement; its draws are taken here, so the unitary depends only on the
-    generator's state at build time, not on when ``u`` is read.
-    """
-    size, n = iso.shape
-    mixing = ()
-    if rng is not None and size > n:
-        # The draws complete_to_unitary makes: the real and imaginary parts of
-        # a (D - N) x min(N, D - N) Gaussian block.
-        shape = (size - n, min(n, size - n))
-        mixing = (rng.standard_normal(shape), rng.standard_normal(shape))
-    return Dilation(
-        sys_dim=n, anc_dim=size // n, isometry=iso, sectors=sectors, _mixing=mixing
-    )
+    iso = ops.transpose(1, 0, 2).reshape(n * nu, n)
+    return Dilation(sys_dim=n, anc_dim=nu, isometry=iso, sectors=sectors)
 
 
 def sector_states(dil: Dilation, rho) -> list:
@@ -290,13 +254,9 @@ def build_dilation_isometry(dec: CanonicalDecomposition) -> np.ndarray:
     return build_dilation_unitary(dec).isometry
 
 
-def build_dilation_unitary(dec: CanonicalDecomposition, rng=None) -> Dilation:
-    """The channel's dilation isometry as a one-sector :class:`Dilation`.
-
-    With ``rng`` None its completion to a unitary is deterministic; passing a
-    seeded generator exercises the freedom in the unfixed columns.
-    """
-    return complete_dilation(*stack_isometry([(CHANNEL_SECTOR, dec)]), rng=rng)
+def build_dilation_unitary(dec: CanonicalDecomposition) -> Dilation:
+    """The channel's dilation isometry as a one-sector :class:`Dilation`."""
+    return stack_isometry([(CHANNEL_SECTOR, dec)])
 
 
 def simulate_via_dilation(dil: Dilation, rho) -> tuple:

@@ -24,7 +24,7 @@ from .channel import (
     map_from_kraus,
     povm_effect,
 )
-from .dilation import Dilation, complete_dilation, sector_states, stack_isometry
+from .dilation import Dilation, sector_states, stack_isometry
 from .errors import (
     DimensionMismatch,
     Incomplete,
@@ -53,21 +53,20 @@ def _normalized_maps(maps) -> tuple:
     return tuple(out)
 
 
-def _total_effect(maps, dim: int) -> np.ndarray:
-    total = np.zeros((dim, dim), dtype=complex)
-    for _, dmap in maps:
-        total += povm_effect(dmap)
-    return total
-
-
 @dataclass(frozen=True, eq=False)
 class Instrument:
-    """Ordered labeled CP maps, one per measurement outcome."""
+    """Ordered labeled CP maps, one per measurement outcome.
+
+    ``defect`` is the identity minus the total effect, a read-only array
+    computed once; the instrument is ``complete`` when no entry of it exceeds
+    ``COMPLETENESS_TOL`` in magnitude.
+    """
 
     dim: int
     maps: tuple
     padded_index: int = None
     complete: bool = field(init=False)
+    defect: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         maps = _normalized_maps(self.maps)
@@ -92,7 +91,12 @@ class Instrument:
                 )
         if self.padded_index is not None and not 0 <= self.padded_index < len(maps):
             raise ValidationError(f"padded_index {self.padded_index} out of range")
-        defect = np.eye(self.dim) - _total_effect(maps, self.dim)
+        total = np.zeros((self.dim, self.dim), dtype=complex)
+        for _, dmap in maps:
+            total += povm_effect(dmap)
+        defect = np.eye(self.dim) - total
+        defect.flags.writeable = False
+        object.__setattr__(self, "defect", defect)
         object.__setattr__(self, "complete", bool(max_abs(defect) <= COMPLETENESS_TOL))
 
     @property
@@ -141,8 +145,7 @@ def _make_outcome(label: str, raw: np.ndarray, threshold: float) -> OutcomeResul
 
 def check_completeness(inst: Instrument, tol: float = COMPLETENESS_TOL) -> tuple:
     """Return (complete, defect) with defect = identity minus the total effect."""
-    defect = np.eye(inst.dim) - _total_effect(inst.maps, inst.dim)
-    return bool(max_abs(defect) <= tol), defect
+    return bool(max_abs(inst.defect) <= tol), inst.defect
 
 
 def pad_to_complete(inst: Instrument) -> Instrument:
@@ -155,8 +158,7 @@ def pad_to_complete(inst: Instrument) -> Instrument:
     """
     if inst.complete:
         return inst
-    _, defect = check_completeness(inst)
-    defect = (defect + dagger(defect)) / 2
+    defect = (inst.defect + dagger(inst.defect)) / 2
     min_eig = min_eigenvalue(defect)
     if min_eig < -PAD_PSD_TOL:
         raise OverComplete(
@@ -177,7 +179,7 @@ def pad_to_complete(inst: Instrument) -> Instrument:
     )
 
 
-def build_instrument_dilation(inst: Instrument, rng=None) -> Dilation:
+def build_instrument_dilation(inst: Instrument) -> Dilation:
     """Combine all outcome maps into one dilation with sector-labeled ancilla.
 
     Each outcome map is eigen-decomposed; outcome i owns an ancilla sector of
@@ -187,13 +189,12 @@ def build_instrument_dilation(inst: Instrument, rng=None) -> Dilation:
     effect is the identity.
     """
     if not inst.complete:
-        _, defect = check_completeness(inst)
         raise Incomplete(
-            f"total effect deviates from identity by {max_abs(defect):.3e}; "
+            f"total effect deviates from identity by {max_abs(inst.defect):.3e}; "
             "pad the instrument before building its dilation"
         )
     parts = [(label, canonical_decompose(dmap)) for label, dmap in inst.maps]
-    return complete_dilation(*stack_isometry(parts), rng=rng)
+    return stack_isometry(parts)
 
 
 def measure_via_dilation(

@@ -150,7 +150,9 @@ def _read_document(path) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers bad JSON, bytes that are not UTF-8 and integer
+        # literals past the int-digit limit; RecursionError, deep nesting.
         raise ParseError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: expected a JSON object at top level")

@@ -150,21 +150,15 @@ def _compact_wy(cols: np.ndarray) -> tuple:
     return w, t
 
 
-def complete_to_unitary(
-    columns: np.ndarray, tol: float = DEFAULT_TOL, rng=None
-) -> np.ndarray:
+def complete_to_unitary(columns: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
     """Extend orthonormal columns to a full unitary matrix.
 
     The first ``k`` columns of the result are the input columns unchanged.
     The other D - k are the complement ``Q[:, k:]`` of the Householder QR of
     the input, formed in compact-WY form as ``I[:, k:] - W T W[k:, :]^dagger``
-    in O(D^2 k). With ``rng`` given, the complement is further multiplied on
-    the right by the reflectors (same form) of a seeded Gaussian block with
-    min(k, D - k) columns, which keeps the cost at O(D^2 k).
-
-    Only elementwise ufuncs, reductions and ``np.einsum`` run here, never
-    BLAS or LAPACK, so the result is bit-identical at any BLAS thread count;
-    with ``rng`` it depends only on the generator's state.
+    in O(D^2 k). Only elementwise ufuncs, reductions and ``np.einsum`` run
+    here, never BLAS or LAPACK, so the result is bit-identical at any BLAS
+    thread count.
     """
     cols = np.array(columns, dtype=complex)
     if cols.ndim != 2:
@@ -187,9 +181,4 @@ def complete_to_unitary(
     np.einsum("ib,mb->im", wt, -w[k:].conj(), out=comp)
     diag = np.arange(dim - k)
     comp[k + diag, diag] += 1.0
-    if rng is not None:
-        shape = (dim - k, min(k, dim - k))
-        y, s = _compact_wy(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        cys = np.einsum("ia,ab->ib", np.einsum("im,ma->ia", comp, y), s)
-        comp -= np.einsum("ib,mb->im", cys, y.conj())
     return out

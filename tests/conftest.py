@@ -66,6 +66,32 @@ def make_projective_instrument(dim: int, mu: int, seed) -> q.Instrument:
     return q.Instrument(dim=dim, maps=tuple(maps))
 
 
+def another_completion(dil: q.Dilation, seed) -> np.ndarray:
+    """``dil.u`` with its free columns (r', a != 0) mixed by a Haar-random unitary.
+
+    The columns (r', 0) stay the isometry, so the result is another valid
+    completion of the same dilation, drawn from all of them rather than from
+    one family. The Haar unitary is the QR factor of a seeded complex
+    Gaussian with the phases of R's diagonal divided out.
+    """
+    u = dil.u.copy()
+    free = np.arange(len(u)).reshape(dil.sys_dim, dil.anc_dim)[:, 1:].ravel()
+    if len(free):
+        rng = np.random.default_rng(seed)
+        shape = (len(free), len(free))
+        haar, r = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        haar *= np.diag(r) / np.abs(np.diag(r))
+        u[:, free] = u[:, free] @ haar
+    return u
+
+
+def joint_state_through(u: np.ndarray, rho: q.DensityMatrix, anc_dim: int) -> np.ndarray:
+    """Reference evolution ``U (rho (x) |0><0|) U^dagger`` with the whole of U."""
+    anc0 = np.zeros((anc_dim, anc_dim), dtype=complex)
+    anc0[0, 0] = 1.0
+    return u @ np.kron(rho.mat, anc0) @ u.conj().T
+
+
 @pytest.fixture
 def plus_state() -> q.DensityMatrix:
     return q.DensityMatrix(np.full((2, 2), 0.5, dtype=complex))

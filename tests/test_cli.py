@@ -299,6 +299,23 @@ def test_integer_too_large_for_a_float_is_a_parse_error(tmp_path, field, message
     assert report["error"]["message"].endswith(message)
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        pytest.param(b'{"format_version": "1", "dim": \xff}', id="not_utf8"),
+        pytest.param(b'{"format_version": "1", "dim": ' + b"7" * 5000 + b"}", id="long_int"),
+        pytest.param(b"[" * 100_000, id="deep_nesting"),
+    ],
+)
+def test_unreadable_document_is_a_parse_error(tmp_path, payload):
+    spec = tmp_path / "bad.json"
+    spec.write_bytes(payload)
+    report = run_to_report(tmp_path, ["check", "--channel", str(spec)], expect_code=1)
+    assert report["status"] == "error"
+    assert report["error"]["code"] == "ParseError"
+    assert report["error"]["message"].startswith(f"{spec}: invalid JSON")
+
+
 def test_reports_after_usage_errors_are_unchanged(tmp_path):
     args = ["dilate", "--channel", str(channel_path("bit_flip.json"))]
     before = run_to_report(tmp_path, args)

@@ -10,10 +10,17 @@ from hypothesis import strategies as st
 
 import qdilate as q
 import qdilate.dilation
-from qdilate.dilation import complete_dilation, sector_states
+from qdilate.dilation import sector_states
 from qdilate.linalg import complete_to_unitary
 
-from conftest import IDENTITY2, P0, P1, make_split_instrument
+from conftest import (
+    IDENTITY2,
+    P0,
+    P1,
+    another_completion,
+    joint_state_through,
+    make_split_instrument,
+)
 
 
 def identity_decomposition():
@@ -133,35 +140,30 @@ def test_completion_choice_does_not_affect_reduced_state():
         rank = 2 + case % (dim * dim - 1)
         dmap = q.random_cptp(dim, rank, 7000 + case)
         dec = q.canonical_decompose(dmap)
-        du_det = q.build_dilation_unitary(dec)
-        du_rnd = q.build_dilation_unitary(dec, rng=np.random.default_rng(8000 + case))
+        du = q.build_dilation_unitary(dec)
+        other = another_completion(du, 8000 + case)
         # With more than one term the isometry is rectangular, so the two
-        # completion rules genuinely pick different free columns.
-        assert q.max_abs(du_det.u - du_rnd.u) > 1e-6
+        # unitaries genuinely differ in their free columns.
+        assert q.max_abs(du.u - other) > 1e-6
         rho = q.random_density(dim, 9000 + case)
-        _, red_det = q.simulate_via_dilation(du_det, rho)
-        _, red_rnd = q.simulate_via_dilation(du_rnd, rho)
+        red_det, red_rnd = (
+            q.partial_trace_ancilla(joint_state_through(u, rho, du.anc_dim), du.anc_dim)
+            for u in (du.u, other)
+        )
         assert q.max_abs(red_det - red_rnd) < 1e-10
 
 
-def full_unitary_joint_state(dil, rho):
-    """Reference evolution ``U (rho (x) |0><0|) U^dagger`` with the whole of U."""
-    anc0 = np.zeros((dil.anc_dim, dil.anc_dim), dtype=complex)
-    anc0[0, 0] = 1.0
-    return dil.u @ np.kron(rho.mat, anc0) @ dil.u.conj().T
-
-
-@pytest.mark.parametrize("seeded", [False, True])
-def test_simulate_matches_full_unitary_evolution(seeded):
+@pytest.mark.parametrize("random_completion", [False, True])
+def test_simulate_matches_full_unitary_evolution(random_completion):
     for case in range(8):
         dim = 2 + case % 3
         rank = 1 + (5 * case) % (dim * dim)
         dec = q.canonical_decompose(q.random_cptp(dim, rank, 10_000 + case))
-        rng = np.random.default_rng(11_000 + case) if seeded else None
-        du = q.build_dilation_unitary(dec, rng=rng)
+        du = q.build_dilation_unitary(dec)
+        u = another_completion(du, 11_000 + case) if random_completion else du.u
         rho = q.random_density(dim, 12_000 + case)
         joint, reduced = q.simulate_via_dilation(du, rho)
-        ref = full_unitary_joint_state(du, rho)
+        ref = joint_state_through(u, rho, du.anc_dim)
         assert q.max_abs(joint - ref) <= 1e-12
         assert q.max_abs(reduced - q.partial_trace_ancilla(ref, du.anc_dim)) <= 1e-12
 
@@ -175,12 +177,16 @@ def split_instruments(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(inst=split_instruments(), seed=st.integers(0, 2**32 - 1), seeded=st.booleans())
-def test_sector_states_match_full_unitary_sectors(inst, seed, seeded):
-    rng = np.random.default_rng(seed) if seeded else None
-    dil = q.build_instrument_dilation(inst, rng=rng)
+@given(
+    inst=split_instruments(),
+    seed=st.integers(0, 2**32 - 1),
+    random_completion=st.booleans(),
+)
+def test_sector_states_match_full_unitary_sectors(inst, seed, random_completion):
+    dil = q.build_instrument_dilation(inst)
+    u = another_completion(dil, seed) if random_completion else dil.u
     rho = q.random_density(inst.dim, seed)
-    joint = full_unitary_joint_state(dil, rho)
+    joint = joint_state_through(u, rho, dil.anc_dim)
     j4 = joint.reshape(inst.dim, dil.anc_dim, inst.dim, dil.anc_dim)
     states = sector_states(dil, rho)
     assert len(states) == len(dil.sectors)
@@ -367,7 +373,7 @@ def test_isometry_is_checked_once_per_build(monkeypatch):
     defect = qdilate.dilation._isometry_defect
     monkeypatch.setattr(qdilate.dilation, "_isometry_defect", counting)
     dec = q.canonical_decompose(q.random_cptp(3, 5, 67))
-    q.build_dilation_unitary(dec, rng=np.random.default_rng(68))
+    q.build_dilation_unitary(dec)
     assert calls == [(15, 3)]
     inst = make_split_instrument(3, 2, 69, rank=6)
     q.build_instrument_dilation(inst)
@@ -388,7 +394,7 @@ def test_dilation_type_rejects_isometry_off_by_less_than_the_trace_tolerance():
     dec = q.canonical_decompose(q.random_cptp(3, 4, 56))
     iso = q.build_dilation_isometry(dec) * (1 + 1e-9)
     with pytest.raises(q.NotIsometry):
-        complete_dilation(iso, (q.Sector("channel", 0, 4),))
+        q.Dilation(sys_dim=3, anc_dim=4, isometry=iso, sectors=[q.Sector("channel", 0, 4)])
 
 
 @pytest.mark.parametrize("dim, rank", [(1, 1), (2, 1), (3, 3), (5, 5), (7, 7), (6, 36)])
@@ -410,7 +416,7 @@ def test_builds_and_readouts_never_complete_the_unitary(monkeypatch):
     monkeypatch.setattr(qdilate.dilation, "complete_to_unitary", refuse)
     dmap = q.random_cptp(3, 5, 58)
     rho = q.random_density(3, 59)
-    du = q.build_dilation_unitary(q.canonical_decompose(dmap), rng=np.random.default_rng(60))
+    du = q.build_dilation_unitary(q.canonical_decompose(dmap))
     q.simulate_via_dilation(du, rho)
     assert q.verify_dilation(dmap, trials=3, seed=61).max_error <= 1e-9
     dil = q.build_instrument_dilation(make_split_instrument(3, 2, 62))
@@ -423,21 +429,17 @@ def test_builds_and_readouts_never_complete_the_unitary(monkeypatch):
             lazy.unitarity_residual
 
 
-def test_seeded_unitaries_depend_only_on_the_generator_at_build_time():
-    rng = np.random.default_rng(64)
-    dils = [
-        q.build_dilation_unitary(q.canonical_decompose(q.random_cptp(3, 7, 65)), rng=rng),
-        q.build_instrument_dilation(make_split_instrument(2, 2, 66), rng=rng),
-    ]
-    unitaries = [dil.u for dil in reversed(dils)][::-1]
-    fresh = np.random.default_rng(64)
-    for dil, u in zip(dils, unitaries):
+def test_unitary_is_the_completion_of_the_isometry_in_slot_order():
+    for dil in (
+        q.build_dilation_unitary(q.canonical_decompose(q.random_cptp(3, 7, 65))),
+        q.build_instrument_dilation(make_split_instrument(2, 2, 66)),
+    ):
         n, anc = dil.sys_dim, dil.anc_dim
         # complete_to_unitary's column order: (r', 0) for every r', then
         # (r', a != 0) with r' slow.
         order = [r * anc for r in range(n)]
         order += [r * anc + a for r in range(n) for a in range(1, anc)]
-        assert np.array_equal(u[:, order], complete_to_unitary(dil.isometry, rng=fresh))
+        assert np.array_equal(dil.u[:, order], complete_to_unitary(dil.isometry))
 
 
 def traced_peak(fn) -> int:
@@ -449,12 +451,10 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("seeded", [False, True])
-def test_building_and_reading_the_unitary_holds_under_three_copies(seeded):
+def test_building_and_reading_the_unitary_holds_under_three_copies():
     n = 6
     dec = q.canonical_decompose(q.random_cptp(n, n * n, 67))
-    rng = np.random.default_rng(68) if seeded else None
-    peak = traced_peak(lambda: q.build_dilation_unitary(dec, rng=rng).u)
+    peak = traced_peak(lambda: q.build_dilation_unitary(dec).u)
     assert peak <= 2.6 * 16 * (n**3) ** 2
 
 

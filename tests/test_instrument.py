@@ -12,6 +12,8 @@ from conftest import (
     IDENTITY2,
     P0,
     P1,
+    another_completion,
+    joint_state_through,
     make_projective_instrument,
     make_split_instrument,
 )
@@ -225,18 +227,16 @@ def test_sample_deterministic_and_binomially_plausible(plus_state):
         assert abs(a[label] - 50_000) <= bound
 
 
-@pytest.mark.parametrize("seeded", [False, True])
-def test_measure_matches_full_unitary_sector_readout(seeded):
+@pytest.mark.parametrize("random_completion", [False, True])
+def test_measure_matches_full_unitary_sector_readout(random_completion):
     for case in range(8):
         dim = 2 + case % 3
         mu = 1 + case % 3
         inst = make_split_instrument(dim, mu, 14_000 + case)
-        rng = np.random.default_rng(15_000 + case) if seeded else None
-        dil = q.build_instrument_dilation(inst, rng=rng)
+        dil = q.build_instrument_dilation(inst)
+        u = another_completion(dil, 15_000 + case) if random_completion else dil.u
         rho = q.random_density(dim, 16_000 + case)
-        anc0 = np.zeros((dil.anc_dim, dil.anc_dim), dtype=complex)
-        anc0[0, 0] = 1.0
-        joint = dil.u @ np.kron(rho.mat, anc0) @ dil.u.conj().T
+        joint = joint_state_through(u, rho, dil.anc_dim)
         j4 = joint.reshape(dim, dil.anc_dim, dim, dil.anc_dim)
         outcomes = q.measure_via_dilation(dil, rho)
         assert [o.label for o in outcomes] == [s.label for s in dil.sectors]

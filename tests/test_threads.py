@@ -16,7 +16,6 @@ from conftest import instrument_path, state_path
 
 PROBE = r"""
 import contextlib, hashlib, io, sys
-import numpy as np
 import qdilate as q
 from qdilate.cli import run_command
 
@@ -26,12 +25,10 @@ def digest(data):
 for n in (5, 8):
     dec = q.canonical_decompose(q.random_cptp(n, n * n, 100 + n))
     rho = q.random_density(n, 200 + n)
-    for seed in (None, 300 + n):
-        rng = None if seed is None else np.random.default_rng(seed)
-        dil = q.build_dilation_unitary(dec, rng=rng)
-        _, reduced = q.simulate_via_dilation(dil, rho)
-        print(n, seed, digest(dil.u.tobytes()), dil.unitarity_residual.hex(),
-              digest(reduced.tobytes()))
+    dil = q.build_dilation_unitary(dec)
+    _, reduced = q.simulate_via_dilation(dil, rho)
+    print(n, digest(dil.u.tobytes()), dil.unitarity_residual.hex(),
+          digest(reduced.tobytes()))
 for argv in sys.argv[1:]:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
@@ -69,5 +66,5 @@ def test_unitaries_and_reports_do_not_depend_on_blas_threads(tmp_path):
         f"sample --instrument {inst} --state {plus} --shots 1000 --seed 7",
     ]
     one = run_probe(1, argvs)
-    assert len(one.splitlines()) == 4 + len(argvs)
+    assert len(one.splitlines()) == 2 + len(argvs)
     assert one == run_probe(2, argvs)
