@@ -26,14 +26,50 @@ from .linalg import DEFAULT_TOL, dagger, hermitian_eig, max_abs, min_eigenvalue
 # Relative cutoff below which decomposition eigenvalues count as zero rank.
 TRUNCATION_TOL = 1e-12
 
+# Largest dynamical matrix random_cptp builds: 1 GiB of complex128, N <= 90.
+_MAP_BYTES_BUDGET = 1 << 30
+
+
+def _require_finite(m: np.ndarray, name: str) -> None:
+    if not np.all(np.isfinite(m.view(float))):
+        raise ValidationError(f"{name} contains non-finite entries")
+
 
 def _square_complex(m, name: str) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {m.shape}")
-    if not np.all(np.isfinite(m.view(float))):
-        raise ValidationError(f"{name} contains non-finite entries")
+    _require_finite(m, name)
     return m
+
+
+def _check_states(mats: np.ndarray, tols: np.ndarray) -> None:
+    """The density-matrix gate over a (K, N, N) stack, matrix k against tols[k].
+
+    Each matrix must be Hermitian, of unit trace and positive semidefinite;
+    every comparison fails on NaN, and one ``eigvalsh`` call covers the
+    stack. The error raised is that of the first failing matrix for its first
+    failing property, as checking the matrices one by one would raise it.
+    """
+    herm = max_abs(mats - dagger(mats))
+    tr = mats.trace(axis1=1, axis2=2)
+    off = tr - 1.0
+    min_eig = min_eigenvalue(mats)
+    hermitian = herm <= tols
+    # np.hypot rounds as the scalar abs() of a complex number does.
+    unit_trace = np.hypot(off.real, off.imag) <= tols
+    passed = hermitian & unit_trace & (min_eig >= -tols)
+    if passed.all():
+        return
+    k = np.argmin(passed)
+    herm, min_eig, _ = np.broadcast_arrays(herm, min_eig, tols)
+    if not hermitian[k]:
+        raise ValidationError(f"density matrix must be Hermitian (deviation {herm[k]:.3e})")
+    if not unit_trace[k]:
+        raise ValidationError(f"density matrix must have unit trace (trace {tr[k]:.6g})")
+    raise ValidationError(
+        f"density matrix must be positive semidefinite (min eigenvalue {min_eig[k]:.3e})"
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,21 +82,30 @@ class DensityMatrix:
     def __post_init__(self, tol):
         mat = _square_complex(self.mat, "density matrix")
         object.__setattr__(self, "mat", mat)
-        herm = max_abs(mat - dagger(mat))
-        if not herm <= tol:
-            raise ValidationError(f"density matrix must be Hermitian (deviation {herm:.3e})")
-        tr = np.trace(mat)
-        if not abs(tr - 1.0) <= tol:
-            raise ValidationError(f"density matrix must have unit trace (trace {tr:.6g})")
-        min_eig = min_eigenvalue(mat)
-        if not min_eig >= -tol:
-            raise ValidationError(
-                f"density matrix must be positive semidefinite (min eigenvalue {min_eig:.3e})"
-            )
+        _check_states(mat[None], np.array([tol], dtype=float))
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
+
+
+def _density_matrices(mats: np.ndarray, tols: np.ndarray) -> list:
+    """One :class:`DensityMatrix` per matrix of a (K, N, N) stack, gated once.
+
+    The stack passes the finiteness check and :func:`_check_states` as a
+    whole, so no state is checked again on construction.
+    """
+    _require_finite(mats, "density matrix")
+    _check_states(mats, tols)
+    return [_checked(DensityMatrix, mat=mat) for mat in mats]
+
+
+def _checked(cls, **fields):
+    """A frozen dataclass instance from fields that already passed its checks."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,8 +293,17 @@ def random_cptp(dim: int, kraus_rank: int, seed) -> DynamicalMap:
 
     Orthonormalizes Gaussian columns into a (dim*kraus_rank) x dim isometry
     and slices it into ``kraus_rank`` blocks K_j; completeness
-    ``sum_j K_j^dagger K_j = I`` holds by construction.
+    ``sum_j K_j^dagger K_j = I`` holds by construction. A dim whose N^2 x N^2
+    dynamical matrix would exceed ``_MAP_BYTES_BUDGET`` is refused before
+    anything is allocated.
     """
+    need = 16 * dim**4
+    if need > _MAP_BYTES_BUDGET:
+        raise ValidationError(
+            f"dim {dim} needs a {need:,}-byte dynamical matrix, above the "
+            f"{_MAP_BYTES_BUDGET:,}-byte budget "
+            f"(dim <= {math.isqrt(math.isqrt(_MAP_BYTES_BUDGET // 16))})"
+        )
     if not 1 <= kraus_rank <= dim * dim:
         raise BadRank(f"kraus_rank must be in [1, {dim * dim}], got {kraus_rank}")
     rng = np.random.default_rng(seed)

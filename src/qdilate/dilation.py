@@ -223,23 +223,25 @@ def stack_isometry(parts) -> Dilation:
     return Dilation(sys_dim=n, anc_dim=nu, isometry=iso, sectors=sectors)
 
 
-def sector_states(dil: Dilation, rho) -> list:
-    """Each sector's system state ``sum_a V_a rho V_a^dagger``, in sector order.
+def sector_states(dil: Dilation, rho) -> np.ndarray:
+    """The sectors' system states ``sum_a V_a rho V_a^dagger`` as one (K, N, N) array.
 
     V_a[r, r'] = U[(r, a), (r', 0)] is the block of the isometry at ancilla
     slot a; the state of a sector is the joint state projected onto its slots
     with the ancilla traced out, and its trace is the sector's probability.
-    Each costs O(N^3 * sector size), and the D x D joint state is never formed.
+    X = V rho is one GEMM. Read as N x (anc_dim N) matrices, X and V hold a
+    sector's slots in one column range, so each sector is one more GEMM,
+    X_s V_s^dagger, in O(N^3 * sector size); the D x D joint state is never
+    formed.
     """
     n = dil.sys_dim
-    mat = state_matrix(rho, n)
-    v3 = dil.isometry.reshape(n, dil.anc_dim, n)
-    states = []
-    for sector in dil.sectors:
-        block = v3[:, sector.start : sector.stop, :]
-        states.append(
-            np.einsum("raq,saq->rs", np.einsum("rap,pq->raq", block, mat), block.conj())
-        )
+    width = dil.anc_dim * n
+    x = (dil.isometry @ state_matrix(rho, n)).reshape(n, width)
+    v_conj = dil.isometry.conj().reshape(n, width)
+    states = np.empty((len(dil.sectors), n, n), dtype=complex)
+    for k, sector in enumerate(dil.sectors):
+        cols = slice(sector.start * n, sector.stop * n)
+        np.matmul(x[:, cols], v_conj[:, cols].T, out=states[k])
     return states
 
 

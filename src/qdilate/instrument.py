@@ -19,6 +19,8 @@ import numpy as np
 from .channel import (
     DensityMatrix,
     DynamicalMap,
+    _checked,
+    _density_matrices,
     apply_map,
     canonical_decompose,
     map_from_kraus,
@@ -84,7 +86,7 @@ class Instrument:
             min_eig = min_eigenvalue(dmap.bmat)
             # Eigen-solver noise on a CP map stays above -DEFAULT_TOL, the
             # bound check_properties and the dilation builders also use.
-            if min_eig < -DEFAULT_TOL:
+            if not min_eig >= -DEFAULT_TOL:
                 raise NotCompletelyPositive(
                     f"outcome {label!r} is not completely positive "
                     f"(min eigenvalue {min_eig:.3e})"
@@ -124,23 +126,45 @@ class OutcomeResult:
         object.__setattr__(self, "probability", p)
         if not 0.0 <= p <= 1.0:
             raise ValidationError(f"outcome probability {p} outside [0, 1]")
-        if abs(p - np.trace(raw).real) > DEFAULT_TOL:
+        if not abs(p - np.trace(raw).real) <= DEFAULT_TOL:
             raise ValidationError(
                 f"probability {p} does not match trace of the unnormalized state"
             )
 
 
-def _make_outcome(label: str, raw: np.ndarray, threshold: float) -> OutcomeResult:
-    p = float(np.trace(raw).real)
-    if p < -DEFAULT_TOL or p > 1.0 + DEFAULT_TOL:
-        raise ValidationError(f"outcome {label!r} has probability {p} outside [0, 1]")
-    p = min(max(p, 0.0), 1.0)
-    post = None
-    if p > threshold:
-        # Dividing by a small probability amplifies additive noise; scale the
-        # validation tolerance accordingly.
-        post = DensityMatrix(raw / p, tol=max(DEFAULT_TOL, 1e-13 / p))
-    return OutcomeResult(label=label, probability=p, post_state=post, raw_unnormalized=raw)
+def _make_outcomes(labels, raws: np.ndarray, threshold: float) -> tuple:
+    """Outcome results from the (K, N, N) stack of raw states, in order.
+
+    Outcome k has probability trace(raws[k]), which must lie in [0, 1] up to
+    ``DEFAULT_TOL`` and is then clamped to it, so each result meets the
+    :class:`OutcomeResult` checks by construction. Above ``threshold`` it gets
+    the post state raws[k] / p, and all post states pass one stacked
+    density-matrix gate. The error raised is the one checking the outcomes
+    one by one would raise first.
+    """
+    p = raws.trace(axis1=1, axis2=2).real
+    (out_of_range,) = np.nonzero(~((p >= -DEFAULT_TOL) & (p <= 1.0 + DEFAULT_TOL)))
+    stop = out_of_range[0] if len(out_of_range) else len(p)
+    clamped = np.where(p < 0.0, 0.0, np.minimum(p, 1.0))
+    (live,) = np.nonzero(clamped[:stop] > threshold)
+    # Dividing by a small probability amplifies additive noise; scale the
+    # validation tolerance accordingly.
+    checked = _density_matrices(
+        raws[live] / clamped[live, None, None], np.maximum(DEFAULT_TOL, 1e-13 / clamped[live])
+    )
+    if stop < len(p):
+        raise ValidationError(
+            f"outcome {labels[stop]!r} has probability {float(p[stop])} outside [0, 1]"
+        )
+    posts = [None] * len(p)
+    for k, post in zip(live, checked):
+        posts[k] = post
+    return tuple(
+        _checked(
+            OutcomeResult, label=label, probability=prob, post_state=post, raw_unnormalized=raw
+        )
+        for label, prob, post, raw in zip(labels, clamped.tolist(), posts, raws)
+    )
 
 
 def check_completeness(inst: Instrument, tol: float = COMPLETENESS_TOL) -> tuple:
@@ -160,7 +184,7 @@ def pad_to_complete(inst: Instrument) -> Instrument:
         return inst
     defect = (inst.defect + dagger(inst.defect)) / 2
     min_eig = min_eigenvalue(defect)
-    if min_eig < -PAD_PSD_TOL:
+    if not min_eig >= -PAD_PSD_TOL:
         raise OverComplete(
             f"total effect exceeds identity (defect eigenvalue {min_eig:.3e}); "
             "outcome probabilities would sum above 1"
@@ -207,21 +231,16 @@ def measure_via_dilation(
     Those states come from :func:`qdilate.dilation.sector_states`, which reads
     the isometry of U and never forms the D x D joint state.
     """
-    return tuple(
-        _make_outcome(sector.label, raw, threshold)
-        for sector, raw in zip(dil.sectors, sector_states(dil, rho))
-    )
+    labels = [sector.label for sector in dil.sectors]
+    return _make_outcomes(labels, sector_states(dil, rho), threshold)
 
 
 def outcome_statistics(
     inst: Instrument, rho, threshold: float = POST_STATE_THRESHOLD
 ) -> tuple:
     """Apply each outcome map directly; the reference for measure_via_dilation."""
-    results = []
-    for label, dmap in inst.maps:
-        raw = apply_map(dmap, rho)
-        results.append(_make_outcome(label, raw, threshold))
-    return tuple(results)
+    raws = np.stack([apply_map(dmap, rho) for _, dmap in inst.maps])
+    return _make_outcomes(inst.labels, raws, threshold)
 
 
 def sample_outcomes(dil: Dilation, rho, shots: int, seed) -> dict:

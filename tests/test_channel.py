@@ -1,5 +1,7 @@
 """Dynamical maps: construction, application, eigen-decomposition, properties."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -364,3 +366,32 @@ def test_random_density_is_valid_and_deterministic():
     b = q.random_density(4, 77)
     assert np.array_equal(a.mat, b.mat)
     assert abs(np.trace(a.mat) - 1.0) < 1e-12
+
+
+def must_not_build(terms, dim):
+    raise AssertionError(f"a {dim}^2 x {dim}^2 dynamical matrix would be allocated")
+
+
+def test_random_cptp_refuses_a_dim_beyond_the_budget_before_allocating(monkeypatch):
+    # The stub keeps a missing refusal from allocating gigabytes.
+    monkeypatch.setattr(channel, "map_from_kraus", must_not_build)
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            q.ValidationError,
+            match=r"^dim 91 needs a 1,097,199,376-byte dynamical matrix, above the "
+            r"1,073,741,824-byte budget \(dim <= 90\)$",
+        ):
+            q.random_cptp(91, 1, 0)
+        with pytest.raises(q.ValidationError, match="^dim 200 needs"):
+            q.random_cptp(200, 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_random_cptp_budget_admits_dim_90(monkeypatch):
+    # Stop at the dynamical matrix, which would take 1,049,760,000 bytes.
+    monkeypatch.setattr(channel, "map_from_kraus", lambda terms, dim: dim)
+    assert q.random_cptp(90, 1, 0) == 90

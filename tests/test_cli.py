@@ -263,6 +263,19 @@ def test_random_emits_loadable_cptp_spec(tmp_path):
     assert verify.max_error <= 1e-9
 
 
+def test_random_refuses_a_dim_too_large_to_hold(tmp_path, monkeypatch):
+    def must_not_build(terms, dim):
+        raise AssertionError("the dynamical matrix would be allocated")
+
+    monkeypatch.setattr(q.channel, "map_from_kraus", must_not_build)
+    args = ["random", "--dim", "200", "--kraus-rank", "1", "--seed", "1"]
+    report = run_to_report(tmp_path, args, expect_code=1)
+    assert report["error"]["code"] == "ValidationError"
+    assert report["error"]["message"].startswith(
+        "dim 200 needs a 25,600,000,000-byte dynamical matrix"
+    )
+
+
 def test_random_spec_is_byte_identical_for_same_seed(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"

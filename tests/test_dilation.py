@@ -197,6 +197,32 @@ def test_sector_states_match_full_unitary_sectors(inst, seed, random_completion)
     assert q.max_abs(sum(states) - reduced) <= 1e-12
 
 
+def einsum_sector_states(dil, rho):
+    """The sector-by-sector einsum readout, the reference for the GEMM kernel."""
+    v3 = dil.isometry.reshape(dil.sys_dim, dil.anc_dim, dil.sys_dim)
+    states = []
+    for sector in dil.sectors:
+        block = v3[:, sector.start : sector.stop, :]
+        x = np.einsum("rap,pq->raq", block, rho.mat)
+        states.append(np.einsum("raq,saq->rs", x, block.conj()))
+    return np.array(states)
+
+
+@pytest.mark.parametrize("dim, mu", [(1, 1), (2, 3), (4, 4), (8, 2), (12, 3), (16, 1)])
+def test_gemm_sector_states_equal_the_einsum_readout(dim, mu):
+    inst = make_split_instrument(dim, mu, 19_000 + dim, rank=dim * dim)
+    # An outcome that never occurs owns an empty sector.
+    never = ("never", q.DynamicalMap(np.zeros((dim * dim, dim * dim))))
+    inst = q.Instrument(dim=dim, maps=inst.maps[:1] + (never,) + inst.maps[1:])
+    dil = q.build_instrument_dilation(inst)
+    rho = q.random_density(dim, 19_100 + dim)
+    states = sector_states(dil, rho)
+    assert states.shape == (mu + 1, dim, dim)
+    assert not states[1].any()
+    # Tolerance fixed from the dtype: a few eps, for states of unit trace.
+    assert q.max_abs(states - einsum_sector_states(dil, rho)).max() <= 16 * np.finfo(float).eps
+
+
 def joint_route_max_error(dmap, trials, seed):
     """verify_dilation's figure through the D x D joint state and a partial trace."""
     du = q.build_dilation_unitary(q.canonical_decompose(dmap))

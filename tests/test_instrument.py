@@ -1,11 +1,16 @@
 """Instruments: completeness, padding, joint dilation, statistics, sampling."""
 
+import itertools
+import re
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qdilate as q
+from qdilate import instrument
 from qdilate.dilation import sector_states
 
 from conftest import (
@@ -284,3 +289,174 @@ def test_outcome_result_validation():
         q.OutcomeResult(label="x", probability=1.5, post_state=None, raw_unnormalized=P0)
     with pytest.raises(q.ValidationError):
         q.OutcomeResult(label="x", probability=0.2, post_state=None, raw_unnormalized=P0)
+
+
+def test_outcome_result_refuses_nan_trace():
+    raw = np.diag([np.nan, 0.5])
+    with pytest.raises(q.ValidationError, match="does not match trace"):
+        q.OutcomeResult(label="x", probability=0.5, post_state=None, raw_unnormalized=raw)
+
+
+def test_instrument_cp_gate_refuses_nan(monkeypatch):
+    monkeypatch.setattr(instrument, "min_eigenvalue", lambda m: float("nan"))
+    with pytest.raises(q.NotCompletelyPositive, match="outcome '0'"):
+        p0_instrument()
+
+
+def test_pad_psd_gate_refuses_nan(monkeypatch):
+    inst = p0_instrument()
+    monkeypatch.setattr(instrument, "min_eigenvalue", lambda m: float("nan"))
+    with pytest.raises(q.OverComplete):
+        q.pad_to_complete(inst)
+
+
+def test_probability_range_gate_refuses_nan():
+    # No gate before it checks the state, so a NaN entry reaches the
+    # probability of every outcome on both routes.
+    inst = basis_instrument()
+    rho = np.diag([np.nan, 1.0])
+    for readout in (
+        lambda: q.measure_via_dilation(q.build_instrument_dilation(inst), rho),
+        lambda: q.outcome_statistics(inst, rho),
+    ):
+        with pytest.raises(q.ValidationError, match="outcome '0' has probability nan outside"):
+            readout()
+
+
+def reference_outcomes(labels, raws, threshold=q.POST_STATE_THRESHOLD):
+    """The outcome-by-outcome readout: one DensityMatrix per outcome."""
+    results = []
+    for label, raw in zip(labels, raws):
+        p = float(np.trace(raw).real)
+        if p < -q.DEFAULT_TOL or p > 1.0 + q.DEFAULT_TOL:
+            raise q.ValidationError(f"outcome {label!r} has probability {p} outside [0, 1]")
+        p = min(max(p, 0.0), 1.0)
+        post = None
+        if p > threshold:
+            post = q.DensityMatrix(raw / p, tol=max(q.DEFAULT_TOL, 1e-13 / p))
+        results.append(
+            q.OutcomeResult(label=label, probability=p, post_state=post, raw_unnormalized=raw)
+        )
+    return tuple(results)
+
+
+def direct_raws(inst, rho):
+    return np.stack([q.apply_map(dmap, rho) for _, dmap in inst.maps])
+
+
+def assert_same_outcomes(got, expected):
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert a.label == b.label
+        assert a.probability == b.probability
+        assert np.array_equal(a.raw_unnormalized, b.raw_unnormalized)
+        assert (a.post_state is None) == (b.post_state is None)
+        if b.post_state is not None:
+            assert np.array_equal(a.post_state.mat, b.post_state.mat)
+
+
+@st.composite
+def readout_cases(draw):
+    """A split instrument (N 1..6, rank 1..N^2, 1..4 outcomes) and a state."""
+    dim = draw(st.integers(1, 6))
+    rank = draw(st.integers(1, dim * dim))
+    mu = draw(st.integers(1, min(4, rank)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    inst = make_split_instrument(dim, mu, seed, rank=rank)
+    return inst, q.random_density(dim, seed + 1), draw(st.integers(0, mu - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=readout_cases())
+def test_batched_readout_equals_the_outcome_by_outcome_loop(case):
+    inst, rho, at = case
+    dil = q.build_instrument_dilation(inst)
+    for readout, raws in (
+        (lambda t: q.measure_via_dilation(dil, rho, t), sector_states(dil, rho)),
+        (lambda t: q.outcome_statistics(inst, rho, t), direct_raws(inst, rho)),
+    ):
+        assert_same_outcomes(readout(q.POST_STATE_THRESHOLD), reference_outcomes(inst.labels, raws))
+        # A threshold equal to an outcome's probability leaves it no post state.
+        threshold = reference_outcomes(inst.labels, raws)[at].probability
+        got = readout(threshold)
+        assert got[at].post_state is None
+        assert_same_outcomes(got, reference_outcomes(inst.labels, raws, threshold))
+
+
+@pytest.mark.parametrize("noise", [5e-14, 5e-13])
+def test_post_state_tolerance_scales_with_one_over_the_probability(noise):
+    # A 1e-6 outcome whose raw state carries additive non-Hermitian noise:
+    # divided by p it deviates by noise * 1e6, allowed up to 1e-13 / p = 1e-7.
+    rare = 1e-6 * q.random_density(3, 18_100).mat
+    rare[0, 1] += noise
+    raws = np.array([rare, q.random_density(3, 18_101).mat * (1 - 1e-6)])
+    labels = ("rare", "common")
+    try:
+        expected = reference_outcomes(labels, raws)
+    except q.ValidationError as exc:
+        assert noise > 1e-13
+        with pytest.raises(q.ValidationError, match=f"^{re.escape(str(exc))}$"):
+            instrument._make_outcomes(labels, raws, q.POST_STATE_THRESHOLD)
+    else:
+        assert noise < 1e-13
+        assert_same_outcomes(
+            instrument._make_outcomes(labels, raws, q.POST_STATE_THRESHOLD), expected
+        )
+
+
+def kraus_map(*ops):
+    return q.map_from_kraus([(1.0, op) for op in ops], 2)
+
+
+# Outcome maps with total effect I: "keep" returns the state itself, whose
+# failure is that of the state; "ok" always leaves |0><0|.
+KEEP_HALF = kraus_map(IDENTITY2 / np.sqrt(2))
+KEEP_THIRD = kraus_map(IDENTITY2 / np.sqrt(3))
+RESET_THIRD = kraus_map(P0 / np.sqrt(3), np.array([[0.0, 1.0], [0.0, 0.0]]) / np.sqrt(3))
+FAILING_READOUTS = {
+    # keep fails Hermiticity; dephase (the diagonal) fails positivity.
+    "hermiticity_and_positivity": (
+        np.array([[1.2, 0.5], [0.0, -0.2]]),
+        [("ok", RESET_THIRD), ("keep", KEEP_THIRD),
+         ("dephase", kraus_map(P0 / np.sqrt(3), P1 / np.sqrt(3)))],
+    ),
+    # keep fails positivity; low has probability -0.25.
+    "positivity_and_range": (
+        np.diag([1.5, -0.5]),
+        [("ok", kraus_map(P0 / np.sqrt(2))), ("keep", KEEP_HALF),
+         ("low", kraus_map(P1 / np.sqrt(2)))],
+    ),
+}
+
+
+@pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+@pytest.mark.parametrize("kind", sorted(FAILING_READOUTS))
+def test_batched_readout_raises_the_first_failing_outcomes_error(kind, order):
+    rho, maps = FAILING_READOUTS[kind]
+    inst = q.Instrument(dim=2, maps=tuple(maps[i] for i in order))
+    dil = q.build_instrument_dilation(inst)
+    for readout, raws in (
+        (lambda: q.measure_via_dilation(dil, rho), sector_states(dil, rho)),
+        (lambda: q.outcome_statistics(inst, rho), direct_raws(inst, rho)),
+    ):
+        with pytest.raises(q.ValidationError) as expected:
+            reference_outcomes(inst.labels, raws)
+        with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+            readout()
+
+
+def test_each_readout_makes_one_eigvalsh_call(monkeypatch):
+    inst = make_split_instrument(4, 4, 18_000)
+    dil = q.build_instrument_dilation(inst)
+    rho = q.random_density(4, 18_001)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
+    for readout in (
+        lambda: q.measure_via_dilation(dil, rho),
+        lambda: q.outcome_statistics(inst, rho),
+        lambda: q.sample_outcomes(dil, rho, 1000, 1),
+    ):
+        calls.clear()
+        readout()
+        assert calls == [(4, 4, 4)]

@@ -214,3 +214,15 @@ def test_complete_to_unitary_refuses_nan_columns():
 
 def test_max_abs():
     assert q.max_abs(np.array([[0.0, -3.0], [4j, 1.0]])) == 4.0
+
+
+def test_stacks_give_one_value_per_matrix():
+    rng = np.random.default_rng(23)
+    for dim, k in [(1, 1), (2, 5), (5, 3), (8, 8)]:
+        stack = np.array([random_hermitian(dim, rng) + 0.1j * np.eye(dim) for _ in range(k)])
+        assert np.array_equal(q.dagger(stack), [q.dagger(m) for m in stack])
+        assert np.array_equal(q.max_abs(stack), [q.max_abs(m) for m in stack])
+        low = linalg.min_eigenvalue(stack)
+        assert low.shape == (k,)
+        assert np.array_equal(low, [linalg.min_eigenvalue(m) for m in stack])
+    assert q.max_abs(np.zeros((0, 3, 3))).shape == (0,)

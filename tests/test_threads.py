@@ -1,8 +1,11 @@
-"""Bit-identical unitaries and reports at any BLAS thread count.
+"""Bit-identical unitaries, readouts and reports at any BLAS thread count.
 
 Each run builds dilations in a fresh interpreter with the BLAS and OpenMP
 thread counts fixed before numpy loads, and prints hashes of everything it
-built; runs at 1 and 2 threads must print the same lines.
+built; runs at 1 and 2 threads must print the same lines. The sector readout
+at N = 12 and 16 reads an isometry and a state saved by a 1-thread process:
+building them (random_cptp's QR, canonical_decompose's eigh) changes bits
+with the thread count at N >= 12, and the readout must not add to that.
 """
 
 import os
@@ -14,22 +17,50 @@ import qdilate as q
 
 from conftest import instrument_path, state_path
 
+SAVE = r"""
+import sys
+import numpy as np
+import qdilate as q
+
+arrays = {}
+for n in (12, 16):
+    dec = q.canonical_decompose(q.random_cptp(n, n * n, 300 + n))
+    arrays[f"iso{n}"] = q.build_dilation_unitary(dec).isometry
+    arrays[f"rho{n}"] = q.random_density(n, 400 + n).mat
+np.savez(sys.argv[1], **arrays)
+"""
+
 PROBE = r"""
 import contextlib, hashlib, io, sys
+import numpy as np
 import qdilate as q
 from qdilate.cli import run_command
+from qdilate.dilation import Sector, sector_states
 
 def digest(data):
     return hashlib.sha256(data).hexdigest()
 
 for n in (5, 8):
-    dec = q.canonical_decompose(q.random_cptp(n, n * n, 100 + n))
+    dmap = q.random_cptp(n, n * n, 100 + n)
+    dec = q.canonical_decompose(dmap)
     rho = q.random_density(n, 200 + n)
     dil = q.build_dilation_unitary(dec)
     _, reduced = q.simulate_via_dilation(dil, rho)
     print(n, digest(dil.u.tobytes()), dil.unitarity_residual.hex(),
           digest(reduced.tobytes()))
-for argv in sys.argv[1:]:
+    half = q.Instrument(dim=n, maps=(("half", q.DynamicalMap(dmap.bmat / 2)),))
+    outcomes = q.measure_via_dilation(q.build_instrument_dilation(q.pad_to_complete(half)), rho)
+    print(n, [(o.label, o.probability.hex(), digest(o.raw_unnormalized.tobytes()),
+               digest(o.post_state.mat.tobytes())) for o in outcomes])
+saved = np.load(sys.argv[1])
+for n in (12, 16):
+    iso = saved[f"iso{n}"]
+    nu = len(iso) // n
+    cuts = [0, nu // 5, nu // 2, nu]
+    sectors = [Sector(str(i), a, b) for i, (a, b) in enumerate(zip(cuts, cuts[1:]))]
+    dil = q.Dilation(sys_dim=n, anc_dim=nu, isometry=iso, sectors=sectors)
+    print(n, digest(sector_states(dil, saved[f"rho{n}"]).tobytes()))
+for argv in sys.argv[2:]:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = run_command(argv.split())
@@ -37,13 +68,13 @@ for argv in sys.argv[1:]:
 """
 
 
-def run_probe(threads: int, argvs) -> str:
+def run_probe(threads: int, script: str, args) -> str:
     env = dict(os.environ)
     env["OPENBLAS_NUM_THREADS"] = env["OMP_NUM_THREADS"] = str(threads)
     src = str(Path(q.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     done = subprocess.run(
-        [sys.executable, "-c", PROBE, *argvs],
+        [sys.executable, "-c", script, *args],
         env=env,
         capture_output=True,
         text=True,
@@ -65,6 +96,9 @@ def test_unitaries_and_reports_do_not_depend_on_blas_threads(tmp_path):
         f"measure --instrument {inst} --state {plus}",
         f"sample --instrument {inst} --state {plus} --shots 1000 --seed 7",
     ]
-    one = run_probe(1, argvs)
-    assert len(one.splitlines()) == 2 + len(argvs)
-    assert one == run_probe(2, argvs)
+    saved = tmp_path / "readout_inputs.npz"
+    run_probe(1, SAVE, [str(saved)])
+    args = [str(saved), *argvs]
+    one = run_probe(1, PROBE, args)
+    assert len(one.splitlines()) == 6 + len(argvs)
+    assert one == run_probe(2, PROBE, args)
