@@ -110,12 +110,15 @@ def _checked(cls, **fields):
 
 @dataclass(frozen=True, eq=False)
 class DynamicalMap:
-    """Hermitian dynamical matrix of a linear map on N x N density matrices."""
+    """Hermitian dynamical matrix of a linear map on N x N density matrices.
+
+    A matrix off Hermitian by more than ``DEFAULT_TOL`` raises
+    :class:`ValidationError`, whether it was built or read from a file.
+    """
 
     bmat: np.ndarray = field(repr=False)
-    tol: InitVar[float] = DEFAULT_TOL
 
-    def __post_init__(self, tol):
+    def __post_init__(self):
         bmat = _square_complex(self.bmat, "dynamical matrix")
         object.__setattr__(self, "bmat", bmat)
         side = bmat.shape[0]
@@ -123,10 +126,10 @@ class DynamicalMap:
         if dim * dim != side:
             raise DimensionMismatch(f"dynamical matrix side {side} is not a perfect square")
         herm = max_abs(bmat - dagger(bmat))
-        if not herm <= tol:
+        if not herm <= DEFAULT_TOL:
             raise ValidationError(
                 "dynamical matrix must be Hermitian, i.e. the map must preserve "
-                f"Hermiticity (deviation {herm:.3e}, tol {tol:.1e})"
+                f"Hermiticity (deviation {herm:.3e}, tol {DEFAULT_TOL:.1e})"
             )
 
     @property
@@ -142,7 +145,7 @@ class CanonicalDecomposition:
     :func:`canonical_decompose`, and ``ops`` the complex array (L_a) of shape
     (nu, N, N). The validator checks both are finite, that nu <= N^2, and,
     from one Gram matrix of the flattened operators, that the L_a are
-    Hilbert-Schmidt orthonormal.
+    Hilbert-Schmidt orthonormal to within ``DEFAULT_TOL``.
     """
 
     dim: int
@@ -177,7 +180,7 @@ class CanonicalDecomposition:
         # overlaps[a, b] = |tr(L_a^dagger L_b)| for a < b; the first offending
         # pair in (a, b) order is reported.
         overlaps = np.triu(gram, 1)
-        offending = np.argwhere(~(overlaps <= 1e-9))
+        offending = np.argwhere(~(overlaps <= DEFAULT_TOL))
         if len(offending):
             a, b = offending[0]
             raise ValidationError(
@@ -251,7 +254,7 @@ def canonical_decompose(
     row-major into its operator. The number of terms never exceeds dim^2.
     """
     n = dmap.dim
-    vals, vecs = hermitian_eig(dmap.bmat, tol=1e-8)
+    vals, vecs = hermitian_eig(dmap.bmat)
     keep = np.abs(vals) > trunc_tol * np.max(np.abs(vals), initial=0.0)
     weights = vals[keep]
     ops = vecs[:, keep].T.reshape(len(weights), n, n)

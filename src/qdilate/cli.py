@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
+import math
 import sys
 
 from .channel import (
@@ -22,9 +23,8 @@ from .channel import (
     random_cptp,
 )
 from .dilation import build_dilation_unitary, verify_dilation
-from .errors import QDilateError
+from .errors import ParseError, QDilateError
 from .instrument import (
-    COMPLETENESS_TOL,
     POST_STATE_THRESHOLD,
     build_instrument_dilation,
     check_completeness,
@@ -49,31 +49,28 @@ def _digest(path) -> dict:
         with open(path, "rb") as fh:
             blob = fh.read()
     except OSError as exc:
-        from .errors import ParseError
-
         raise ParseError(f"{path}: cannot read ({exc})") from exc
     return {"path": str(path), "sha256": hashlib.sha256(blob).hexdigest()}
 
 
-def _load_channel(path, inputs: dict):
-    inputs["channel"] = _digest(path)
-    return load_channel(path)
-
-
-def _load_instrument(path, inputs: dict):
-    inputs["instrument"] = _digest(path)
-    return load_instrument(path)
-
-
-def _load_state(path, inputs: dict):
-    inputs["state"] = _digest(path)
-    return load_state(path)
+def _load(kind: str, path, inputs: dict):
+    """Read a channel, instrument or state file, recording its digest in ``inputs``."""
+    inputs[kind] = _digest(path)
+    loader = {"channel": load_channel, "instrument": load_instrument, "state": load_state}[kind]
+    return loader(path)
 
 
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
+    return value
+
+
+def _nonnegative_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"expected a finite non-negative number, got {text}")
     return value
 
 
@@ -98,10 +95,10 @@ def _outcome_rows(outcomes) -> list:
 
 
 def _cmd_check(args, inputs, options):
+    tol = args.tol if args.tol is not None else DEFAULT_TOL
+    options["tol"] = tol
     if args.channel is not None:
-        tol = args.tol if args.tol is not None else DEFAULT_TOL
-        options["tol"] = tol
-        dmap = _load_channel(args.channel, inputs)
+        dmap = _load("channel", args.channel, inputs)
         props = check_properties(dmap, tol)
         return {
             "kind": "channel",
@@ -112,9 +109,7 @@ def _cmd_check(args, inputs, options):
             "min_eigenvalue": props.min_eigenvalue,
             "trace_defect": props.trace_defect,
         }
-    tol = args.tol if args.tol is not None else COMPLETENESS_TOL
-    options["tol"] = tol
-    inst = _load_instrument(args.instrument, inputs)
+    inst = _load("instrument", args.instrument, inputs)
     complete, defect = check_completeness(inst, tol)
     return {
         "kind": "instrument",
@@ -129,7 +124,7 @@ def _cmd_check(args, inputs, options):
 def _cmd_decompose(args, inputs, options):
     trunc_tol = args.trunc_tol if args.trunc_tol is not None else TRUNCATION_TOL
     options["trunc_tol"] = trunc_tol
-    dmap = _load_channel(args.channel, inputs)
+    dmap = _load("channel", args.channel, inputs)
     dec = canonical_decompose(dmap, trunc_tol)
     rebuilt = map_from_kraus(zip(dec.weights, dec.ops), dec.dim)
     return {
@@ -143,10 +138,10 @@ def _cmd_decompose(args, inputs, options):
 def _cmd_dilate(args, inputs, options):
     if args.channel is not None:
         kind = "channel"
-        dil = build_dilation_unitary(canonical_decompose(_load_channel(args.channel, inputs)))
+        dil = build_dilation_unitary(canonical_decompose(_load("channel", args.channel, inputs)))
     else:
         kind = "instrument"
-        dil = build_instrument_dilation(_load_instrument(args.instrument, inputs))
+        dil = build_instrument_dilation(_load("instrument", args.instrument, inputs))
     return {
         "kind": kind,
         "sys_dim": dil.sys_dim,
@@ -162,7 +157,7 @@ def _cmd_dilate(args, inputs, options):
 def _cmd_verify(args, inputs, options):
     options["trials"] = args.trials
     options["seed"] = args.seed
-    dmap = _load_channel(args.channel, inputs)
+    dmap = _load("channel", args.channel, inputs)
     report = verify_dilation(dmap, args.trials, args.seed)
     return {"dim": dmap.dim, "trials": report.trials, "max_error": report.max_error}
 
@@ -171,8 +166,8 @@ def _cmd_measure(args, inputs, options):
     threshold = args.threshold if args.threshold is not None else POST_STATE_THRESHOLD
     options["threshold"] = threshold
     options["route"] = "direct" if args.direct else "dilation"
-    inst = _load_instrument(args.instrument, inputs)
-    rho = _load_state(args.state, inputs)
+    inst = _load("instrument", args.instrument, inputs)
+    rho = _load("state", args.state, inputs)
     if args.direct:
         outcomes = outcome_statistics(inst, rho, threshold)
     else:
@@ -188,15 +183,15 @@ def _cmd_measure(args, inputs, options):
 def _cmd_sample(args, inputs, options):
     options["shots"] = args.shots
     options["seed"] = args.seed
-    inst = _load_instrument(args.instrument, inputs)
-    rho = _load_state(args.state, inputs)
+    inst = _load("instrument", args.instrument, inputs)
+    rho = _load("state", args.state, inputs)
     dil = build_instrument_dilation(inst)
     counts = sample_outcomes(dil, rho, args.shots, args.seed)
     return {"dim": inst.dim, "shots": args.shots, "counts": counts}
 
 
 def _cmd_pad(args, inputs, options):
-    inst = _load_instrument(args.instrument, inputs)
+    inst = _load("instrument", args.instrument, inputs)
     padded = pad_to_complete(inst)
     if args.spec_out is not None:
         options["spec_out"] = str(args.spec_out)
@@ -258,11 +253,13 @@ def build_parser() -> argparse.ArgumentParser:
     target = p.add_mutually_exclusive_group(required=True)
     target.add_argument("--channel", help="channel spec file")
     target.add_argument("--instrument", help="instrument spec file")
-    p.add_argument("--tol", type=float, default=None, help="property tolerance")
+    p.add_argument("--tol", type=_nonnegative_float, default=None, help="property tolerance")
 
     p = sub.add_parser("decompose", parents=[common], help="eigen-decompose a channel")
     p.add_argument("--channel", required=True, help="channel spec file")
-    p.add_argument("--trunc-tol", type=float, default=None, help="relative weight cutoff")
+    p.add_argument(
+        "--trunc-tol", type=_nonnegative_float, default=None, help="relative weight cutoff"
+    )
 
     p = sub.add_parser("dilate", parents=[common], help="build the dilation unitary")
     target = p.add_mutually_exclusive_group(required=True)
@@ -277,7 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", parents=[common], help="outcome table for a state")
     p.add_argument("--instrument", required=True, help="instrument spec file")
     p.add_argument("--state", required=True, help="state spec file")
-    p.add_argument("--threshold", type=float, default=None, help="post-state probability floor")
+    p.add_argument(
+        "--threshold", type=_nonnegative_float, default=None, help="post-state probability floor"
+    )
     p.add_argument(
         "--direct",
         action="store_true",

@@ -43,10 +43,6 @@ from .linalg import (
     partial_trace_ancilla,
 )
 
-# Isometry residual max|V^dagger V - I| above which a dilation's map counts
-# as not trace-preserving, not just as numerically off an isometry.
-TP_RESIDUAL_TOL = 1e-8
-
 # Label of the single sector of a channel dilation.
 CHANNEL_SECTOR = "channel"
 
@@ -73,11 +69,10 @@ class Dilation:
     anc_dim is at most len(sectors) * sys_dim^2. A channel dilation has a
     single sector. Construction forms V^dagger V once, in O(D N^2); since a
     stacked V has V^dagger V = sum_a w_a L_a^dagger L_a, a residual
-    max|V^dagger V - I| above ``TP_RESIDUAL_TOL`` raises
-    :class:`NotTracePreserving`, itself a :class:`NotIsometry`, and one above
-    ``DEFAULT_TOL`` raises :class:`NotIsometry`. Evolution and readout need
-    only V; the unitary ``u``, whose columns (r', 0) are V, is completed and
-    checked the first time it is read.
+    max|V^dagger V - I| above ``DEFAULT_TOL`` raises :class:`NotTracePreserving`,
+    itself a :class:`NotIsometry`. Evolution and readout need only V; the
+    unitary ``u``, whose columns (r', 0) are V, is completed and checked the
+    first time it is read.
     """
 
     sys_dim: int
@@ -113,13 +108,11 @@ class Dilation:
                 f"ancilla dim {self.anc_dim} exceeds num_sectors*sys_dim^2 = {bound}"
             )
         residual = _isometry_defect(iso)
-        if not residual <= TP_RESIDUAL_TOL:
-            raise NotTracePreserving(
-                f"sum of weighted L^dagger L deviates from identity by {residual:.3e}; "
-                "the isometry columns are not orthonormal"
-            )
         if not residual <= DEFAULT_TOL:
-            raise NotIsometry(f"isometry residual {residual:.3e} exceeds {DEFAULT_TOL:.1e}")
+            raise NotTracePreserving(
+                f"sum of weighted L^dagger L deviates from identity by {residual:.3e} "
+                f"(tol {DEFAULT_TOL:.1e}); the isometry columns are not orthonormal"
+            )
 
     @cached_property
     def u(self) -> np.ndarray:
@@ -133,7 +126,7 @@ class Dilation:
         """
         n, anc_dim = self.sys_dim, self.anc_dim
         size = n * anc_dim
-        u0 = complete_to_unitary(self.isometry, tol=TP_RESIDUAL_TOL)
+        u0 = complete_to_unitary(self.isometry)
         u = np.empty((size, size), dtype=complex)
         slots = u.reshape(size, n, anc_dim)
         slots[:, :, 0] = u0[:, :n]

@@ -36,12 +36,6 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOL, dagger, max_abs, min_eigenvalue, psd_sqrt
 
-# Total-effect deviation from identity below which a set counts as complete.
-COMPLETENESS_TOL = 1e-8
-
-# Defect eigenvalues below this signal total probability above 1.
-PAD_PSD_TOL = 1e-9
-
 # Outcomes with probability at or below this get no normalized post state.
 POST_STATE_THRESHOLD = 1e-12
 
@@ -61,7 +55,8 @@ class Instrument:
 
     ``defect`` is the identity minus the total effect, a read-only array
     computed once; the instrument is ``complete`` when no entry of it exceeds
-    ``COMPLETENESS_TOL`` in magnitude.
+    ``DEFAULT_TOL`` in magnitude, the bound at which its dilation's isometry
+    counts as one, so a set is complete exactly when it dilates.
     """
 
     dim: int
@@ -99,7 +94,7 @@ class Instrument:
         defect = np.eye(self.dim) - total
         defect.flags.writeable = False
         object.__setattr__(self, "defect", defect)
-        object.__setattr__(self, "complete", bool(max_abs(defect) <= COMPLETENESS_TOL))
+        object.__setattr__(self, "complete", bool(max_abs(defect) <= DEFAULT_TOL))
 
     @property
     def num_outcomes(self) -> int:
@@ -140,8 +135,10 @@ def _make_outcomes(labels, raws: np.ndarray, threshold: float) -> tuple:
     :class:`OutcomeResult` checks by construction. Above ``threshold`` it gets
     the post state raws[k] / p, and all post states pass one stacked
     density-matrix gate. The error raised is the one checking the outcomes
-    one by one would raise first.
+    one by one would raise first. A threshold that is negative or NaN raises.
     """
+    if not threshold >= 0.0:
+        raise ValidationError(f"post-state threshold must be non-negative, got {threshold}")
     p = raws.trace(axis1=1, axis2=2).real
     (out_of_range,) = np.nonzero(~((p >= -DEFAULT_TOL) & (p <= 1.0 + DEFAULT_TOL)))
     stop = out_of_range[0] if len(out_of_range) else len(p)
@@ -167,7 +164,7 @@ def _make_outcomes(labels, raws: np.ndarray, threshold: float) -> tuple:
     )
 
 
-def check_completeness(inst: Instrument, tol: float = COMPLETENESS_TOL) -> tuple:
+def check_completeness(inst: Instrument, tol: float = DEFAULT_TOL) -> tuple:
     """Return (complete, defect) with defect = identity minus the total effect."""
     return bool(max_abs(inst.defect) <= tol), inst.defect
 
@@ -177,19 +174,19 @@ def pad_to_complete(inst: Instrument) -> Instrument:
 
     The discard map has the single Kraus operator sqrt(defect), the minimal
     realization of the missing effect. A defect with an eigenvalue below
-    -PAD_PSD_TOL means the existing outcomes already overshoot probability 1,
+    -DEFAULT_TOL means the existing outcomes already overshoot probability 1,
     which no padding can fix.
     """
     if inst.complete:
         return inst
     defect = (inst.defect + dagger(inst.defect)) / 2
     min_eig = min_eigenvalue(defect)
-    if not min_eig >= -PAD_PSD_TOL:
+    if not min_eig >= -DEFAULT_TOL:
         raise OverComplete(
             f"total effect exceeds identity (defect eigenvalue {min_eig:.3e}); "
             "outcome probabilities would sum above 1"
         )
-    kraus = psd_sqrt(defect, tol=PAD_PSD_TOL)
+    kraus = psd_sqrt(defect)
     label = "discard"
     suffix = 1
     while label in inst.labels:

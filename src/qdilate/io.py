@@ -22,9 +22,6 @@ from .instrument import Instrument
 
 FORMAT_VERSION = "1"
 
-# Hermiticity gate applied to dynamical matrices read from files.
-LOAD_HERMITICITY_TOL = 1e-8
-
 
 def _float_pairs(m) -> np.ndarray:
     """The float view of a complex array with [re, im] along a new last axis."""
@@ -205,7 +202,7 @@ def _decode_channel_payload(obj: dict, dim: int, where: str) -> DynamicalMap:
                 f"{where}: dynamical matrix has shape {bmat.shape}, "
                 f"expected ({dim * dim}, {dim * dim})"
             )
-        return DynamicalMap(bmat, tol=LOAD_HERMITICITY_TOL)
+        return DynamicalMap(bmat)
     raise ParseError(
         f"{where}: representation must be 'kraus' or 'dynamical_matrix', "
         f"got {representation!r}"
@@ -253,7 +250,7 @@ def load_instrument(path) -> Instrument:
     return Instrument(dim=dim, maps=tuple(maps), padded_index=padded_index)
 
 
-def save_instrument_spec(path, inst: Instrument, metadata: dict = None) -> None:
+def save_instrument_spec(path, inst: Instrument) -> None:
     """Write an instrument with every outcome in dynamical-matrix form."""
     outcomes = []
     for label, dmap in inst.maps:
@@ -271,8 +268,6 @@ def save_instrument_spec(path, inst: Instrument, metadata: dict = None) -> None:
     }
     if inst.padded_index is not None:
         doc["padded_index"] = inst.padded_index
-    if metadata:
-        doc["metadata"] = metadata
     _write_document(path, doc)
 
 
@@ -288,15 +283,13 @@ def load_state(path) -> DensityMatrix:
     return DensityMatrix(mat)
 
 
-def save_state_spec(path, rho: DensityMatrix, metadata: dict = None) -> None:
+def save_state_spec(path, rho: DensityMatrix) -> None:
     """Write a density matrix as a state spec file."""
     doc = {
         "format_version": FORMAT_VERSION,
         "dim": rho.dim,
         "matrix": rho.mat,
     }
-    if metadata:
-        doc["metadata"] = metadata
     _write_document(path, doc)
 
 

@@ -12,6 +12,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, NotHermitian, NotIsometry, NotPSD
 
+# The one bound on a numerical defect, read by every module: within it a matrix
+# is Hermitian, a map trace-preserving, an instrument complete, columns
+# orthonormal; only an eigenvalue below -DEFAULT_TOL is a real negative.
 DEFAULT_TOL = 1e-10
 
 
@@ -63,7 +66,7 @@ def _lex_key(col: np.ndarray):
     return tuple((x.real, x.imag) for x in col)
 
 
-def hermitian_eig(h: np.ndarray, tol: float = DEFAULT_TOL):
+def hermitian_eig(h: np.ndarray):
     """Eigendecomposition of a Hermitian matrix with a deterministic ordering.
 
     Eigenvalues come back sorted descending. Each eigenvector has its
@@ -72,14 +75,17 @@ def hermitian_eig(h: np.ndarray, tol: float = DEFAULT_TOL):
     their components, so degenerate inputs still decompose reproducibly.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvectors as orthonormal
-    columns satisfying ``h = V diag(w) V^dagger``.
+    columns satisfying ``h = V diag(w) V^dagger``. A matrix off Hermitian by
+    more than ``DEFAULT_TOL`` raises :class:`NotHermitian`.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {h.shape}")
     defect = max_abs(h - dagger(h))
-    if not defect <= tol:
-        raise NotHermitian(f"matrix deviates from Hermitian by {defect:.3e} (tol {tol:.1e})")
+    if not defect <= DEFAULT_TOL:
+        raise NotHermitian(
+            f"matrix deviates from Hermitian by {defect:.3e} (tol {DEFAULT_TOL:.1e})"
+        )
     vals, vecs = np.linalg.eigh(h)
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
@@ -104,16 +110,16 @@ def hermitian_eig(h: np.ndarray, tol: float = DEFAULT_TOL):
     return vals, vecs
 
 
-def psd_sqrt(m: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def psd_sqrt(m: np.ndarray) -> np.ndarray:
     """Hermitian square root of a positive semidefinite matrix.
 
-    Eigenvalues below ``tol`` are clamped to zero before the square root;
-    an eigenvalue below ``-tol`` raises :class:`NotPSD`.
+    Eigenvalues below ``DEFAULT_TOL`` are clamped to zero before the square
+    root; an eigenvalue below ``-DEFAULT_TOL`` raises :class:`NotPSD`.
     """
-    vals, vecs = hermitian_eig(m, tol)
-    if not vals.min() >= -tol:
-        raise NotPSD(f"minimum eigenvalue {vals.min():.3e} below -{tol:.1e}")
-    clamped = np.where(vals < tol, 0.0, vals)
+    vals, vecs = hermitian_eig(m)
+    if not vals.min() >= -DEFAULT_TOL:
+        raise NotPSD(f"minimum eigenvalue {vals.min():.3e} below -{DEFAULT_TOL:.1e}")
+    clamped = np.where(vals < DEFAULT_TOL, 0.0, vals)
     root = (vecs * np.sqrt(clamped)) @ dagger(vecs)
     return (root + dagger(root)) / 2
 
@@ -160,7 +166,7 @@ def _compact_wy(cols: np.ndarray) -> tuple:
     return w, t
 
 
-def complete_to_unitary(columns: np.ndarray, tol: float = DEFAULT_TOL) -> np.ndarray:
+def complete_to_unitary(columns: np.ndarray) -> np.ndarray:
     """Extend orthonormal columns to a full unitary matrix.
 
     The first ``k`` columns of the result are the input columns unchanged.
@@ -168,7 +174,8 @@ def complete_to_unitary(columns: np.ndarray, tol: float = DEFAULT_TOL) -> np.nda
     the input, formed in compact-WY form as ``I[:, k:] - W T W[k:, :]^dagger``
     in O(D^2 k). Only elementwise ufuncs, reductions and ``np.einsum`` run
     here, never BLAS or LAPACK, so the result is bit-identical at any BLAS
-    thread count.
+    thread count. Columns off orthonormal by more than ``DEFAULT_TOL`` raise
+    :class:`NotIsometry`.
     """
     cols = np.array(columns, dtype=complex)
     if cols.ndim != 2:
@@ -178,8 +185,10 @@ def complete_to_unitary(columns: np.ndarray, tol: float = DEFAULT_TOL) -> np.nda
         raise NotIsometry(f"{k} columns cannot be orthonormal in dimension {dim}")
     gram = np.einsum("ia,ib->ab", cols.conj(), cols)
     defect = max_abs(gram - np.eye(k))
-    if not defect <= tol:
-        raise NotIsometry(f"columns deviate from orthonormal by {defect:.3e} (tol {tol:.1e})")
+    if not defect <= DEFAULT_TOL:
+        raise NotIsometry(
+            f"columns deviate from orthonormal by {defect:.3e} (tol {DEFAULT_TOL:.1e})"
+        )
 
     out = np.empty((dim, dim), dtype=complex)
     out[:, :k] = cols

@@ -283,7 +283,7 @@ def test_canonical_decompose_equals_the_eigenpair_loop():
     cases = [q.random_cptp(dim, rank, 19_000 + dim) for dim, rank in [(1, 1), (3, 5), (5, 25)]]
     for dmap in cases + [transpose_map(), depolarizing_map()]:
         n = dmap.dim
-        vals, vecs = q.hermitian_eig(dmap.bmat, tol=1e-8)
+        vals, vecs = q.hermitian_eig(dmap.bmat)
         scale = max(abs(vals))
         kept = [(w, v.reshape(n, n)) for w, v in zip(vals, vecs.T) if abs(w) > 1e-12 * scale]
         dec = q.canonical_decompose(dmap)

@@ -369,3 +369,59 @@ def test_usage_errors_exit_via_argparse(tmp_path):
                 "-3",
             ]
         )
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["check", "--channel", str(channel_path("identity.json")), "--tol"],
+        ["check", "--instrument", str(instrument_path("p0_projection.json")), "--tol"],
+        ["decompose", "--channel", str(channel_path("identity.json")), "--trunc-tol"],
+        [
+            "measure",
+            "--instrument",
+            str(instrument_path("computational_basis.json")),
+            "--state",
+            str(state_path("excited.json")),
+            "--threshold",
+        ],
+    ],
+    ids=["check-channel", "check-instrument", "decompose", "measure"],
+)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-300"])
+def test_tolerance_flags_refuse_nan_infinite_and_negative_values(tmp_path, capsys, args, value):
+    # "--flag=value", since argparse reads "-inf" alone as an option.
+    flag = f"{args[-1]}={value}"
+    with pytest.raises(SystemExit):
+        run_command([*args[:-1], flag, "--out", str(tmp_path / "report.json")])
+    assert "expected a finite non-negative number" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_tolerance_flags_accept_zero(tmp_path):
+    report = run_to_report(
+        tmp_path, ["check", "--channel", str(channel_path("identity.json")), "--tol", "0"]
+    )
+    assert report["options"]["tol"] == 0.0
+    assert report["results"]["trace_preserving"] is True
+    report = run_to_report(
+        tmp_path,
+        [
+            "measure",
+            "--instrument",
+            str(instrument_path("computational_basis.json")),
+            "--state",
+            str(state_path("excited.json")),
+            "--threshold",
+            "0",
+        ],
+    )
+    rows = report["results"]["outcomes"]
+    assert [row["post_state"] is None for row in rows] == [True, False]
+
+
+def test_check_instrument_defaults_to_the_one_bound(tmp_path):
+    report = run_to_report(
+        tmp_path, ["check", "--instrument", str(instrument_path("computational_basis.json"))]
+    )
+    assert report["options"]["tol"] == q.DEFAULT_TOL == 1e-10

@@ -415,11 +415,11 @@ def test_channel_dilation_is_one_sector_with_stored_residual():
 
 
 def test_dilation_type_rejects_isometry_off_by_less_than_the_trace_tolerance():
-    # V^dagger V = (1 + 1e-9)^2 I: within the 1e-8 trace-preservation bound
-    # of the Dilation validator, but not an isometry within DEFAULT_TOL.
+    # V^dagger V = (1 + 1e-9)^2 I: off the identity by 2e-9, above DEFAULT_TOL,
+    # the one bound at which the Dilation validator calls a map trace-preserving.
     dec = q.canonical_decompose(q.random_cptp(3, 4, 56))
     iso = q.build_dilation_isometry(dec) * (1 + 1e-9)
-    with pytest.raises(q.NotIsometry):
+    with pytest.raises(q.NotTracePreserving):
         q.Dilation(sys_dim=3, anc_dim=4, isometry=iso, sectors=[q.Sector("channel", 0, 4)])
 
 

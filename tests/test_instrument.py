@@ -323,6 +323,21 @@ def test_probability_range_gate_refuses_nan():
             readout()
 
 
+@pytest.mark.parametrize("threshold", [-1.0, -1e-300, float("nan")])
+def test_readout_refuses_a_negative_or_nan_threshold(threshold):
+    # A threshold of -1 once gave the p = 0 outcome of |1><1| a post state,
+    # raw / 0, and failed on its non-finite entries instead.
+    inst = basis_instrument()
+    dil = q.build_instrument_dilation(inst)
+    excited = np.diag([0.0, 1.0])
+    for readout in (
+        lambda: q.measure_via_dilation(dil, excited, threshold),
+        lambda: q.outcome_statistics(inst, excited, threshold),
+    ):
+        with pytest.raises(q.ValidationError, match="post-state threshold"):
+            readout()
+
+
 def reference_outcomes(labels, raws, threshold=q.POST_STATE_THRESHOLD):
     """The outcome-by-outcome readout: one DensityMatrix per outcome."""
     results = []

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdilate as q
+from qdilate.cli import run_command
 from qdilate.io import write_json
 
 from conftest import IDENTITY2, P0, channel_path, instrument_path, state_path
@@ -80,6 +81,32 @@ def test_load_channel_rejects_non_hermitian_dynamical_matrix(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(q.ValidationError):
         q.load_channel(path)
+
+
+@pytest.mark.parametrize("defect, loads", [(1e-9, False), (1e-11, True)])
+def test_dynamical_matrix_files_share_the_hermiticity_bound(tmp_path, defect, loads):
+    # The identity channel's B with one entry off its mirror by `defect`:
+    # files are held to DEFAULT_TOL, like every other dynamical matrix.
+    bmat = q.map_from_kraus([(1.0, IDENTITY2)], 2).bmat
+    bmat[0, 3] += defect
+    doc = {
+        "format_version": "1",
+        "dim": 2,
+        "representation": "dynamical_matrix",
+        "data": q.encode_matrix(bmat),
+    }
+    path = tmp_path / "near_hermitian.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    code = run_command(["check", "--channel", str(path), "--out", str(out)])
+    report = json.loads(out.read_text())
+    if loads:
+        assert np.array_equal(q.load_channel(path).bmat, bmat)
+        assert (code, report["status"]) == (0, "ok")
+    else:
+        with pytest.raises(q.ValidationError, match="must be Hermitian"):
+            q.load_channel(path)
+        assert (code, report["error"]["code"]) == (1, "ValidationError")
 
 
 def test_load_channel_rejects_wrong_shapes(tmp_path):

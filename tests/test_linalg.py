@@ -149,7 +149,7 @@ def test_psd_sqrt_refuses_nan(monkeypatch):
     with pytest.raises(q.NotHermitian):
         q.psd_sqrt(np.diag([np.nan, 1.0]))
     # The PSD gate itself, reached by a NaN eigenvalue.
-    def nan_eig(m, tol):
+    def nan_eig(m):
         return np.array([1.0, np.nan]), np.eye(2)
 
     monkeypatch.setattr(linalg, "hermitian_eig", nan_eig)
