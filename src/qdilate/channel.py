@@ -103,8 +103,7 @@ def _density_matrices(mats: np.ndarray, tols: np.ndarray) -> list:
 def _checked(cls, **fields):
     """A frozen dataclass instance from fields that already passed its checks."""
     obj = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(obj, name, value)
+    obj.__dict__.update(fields)
     return obj
 
 
@@ -252,7 +251,10 @@ def canonical_decompose(
     Eigenvalues with ``|w| <= trunc_tol * max|w|`` are dropped; the kept
     eigenvalues are the weights, and each kept eigenvector is reshaped
     row-major into its operator. The number of terms never exceeds dim^2.
+    A cutoff outside [0, 1), which could drop every term, raises.
     """
+    if not 0.0 <= trunc_tol < 1.0:
+        raise ValidationError(f"truncation cutoff must lie in [0, 1), got {trunc_tol}")
     n = dmap.dim
     vals, vecs = hermitian_eig(dmap.bmat)
     keep = np.abs(vals) > trunc_tol * np.max(np.abs(vals), initial=0.0)

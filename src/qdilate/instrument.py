@@ -12,7 +12,9 @@ appending a discard map carrying the leftover effect.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -21,10 +23,10 @@ from .channel import (
     DynamicalMap,
     _checked,
     _density_matrices,
-    apply_map,
     canonical_decompose,
     map_from_kraus,
     povm_effect,
+    state_matrix,
 )
 from .dilation import Dilation, sector_states, stack_isometry
 from .errors import (
@@ -88,10 +90,7 @@ class Instrument:
                 )
         if self.padded_index is not None and not 0 <= self.padded_index < len(maps):
             raise ValidationError(f"padded_index {self.padded_index} out of range")
-        total = np.zeros((self.dim, self.dim), dtype=complex)
-        for _, dmap in maps:
-            total += povm_effect(dmap)
-        defect = np.eye(self.dim) - total
+        defect = np.eye(self.dim) - sum(povm_effect(dmap) for _, dmap in maps)
         defect.flags.writeable = False
         object.__setattr__(self, "defect", defect)
         object.__setattr__(self, "complete", bool(max_abs(defect) <= DEFAULT_TOL))
@@ -103,6 +102,13 @@ class Instrument:
     @property
     def labels(self) -> tuple:
         return tuple(label for label, _ in self.maps)
+
+    @cached_property
+    def _bmats(self) -> np.ndarray:
+        """The maps' dynamical matrices as one read-only (K, N, N, N, N) stack."""
+        stack = np.stack([dmap.bmat for _, dmap in self.maps]).reshape(-1, *[self.dim] * 4)
+        stack.flags.writeable = False
+        return stack
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,40 +133,50 @@ class OutcomeResult:
             )
 
 
+def _probabilities(labels, raws: np.ndarray) -> tuple:
+    """``(clamped, stop, error)``: the traces of a (K, N, N) stack, clamped to [0, 1].
+
+    Outcome ``stop`` is the first whose trace lies outside [0, 1] by more than
+    ``DEFAULT_TOL`` (K if none), and ``error`` its ValidationError (or None).
+    """
+    p = raws.trace(axis1=1, axis2=2).real
+    (out_of_range,) = np.nonzero(~((p >= -DEFAULT_TOL) & (p <= 1.0 + DEFAULT_TOL)))
+    clamped = np.where(p < 0.0, 0.0, np.minimum(p, 1.0))
+    if not len(out_of_range):
+        return clamped, len(p), None
+    k = out_of_range[0]
+    message = f"outcome {labels[k]!r} has probability {float(p[k])} outside [0, 1]"
+    return clamped, k, ValidationError(message)
+
+
 def _make_outcomes(labels, raws: np.ndarray, threshold: float) -> tuple:
     """Outcome results from the (K, N, N) stack of raw states, in order.
 
-    Outcome k has probability trace(raws[k]), which must lie in [0, 1] up to
-    ``DEFAULT_TOL`` and is then clamped to it, so each result meets the
-    :class:`OutcomeResult` checks by construction. Above ``threshold`` it gets
-    the post state raws[k] / p, and all post states pass one stacked
-    density-matrix gate. The error raised is the one checking the outcomes
-    one by one would raise first. A threshold that is negative or NaN raises.
+    Outcome k has probability trace(raws[k]), range-checked and clamped by
+    :func:`_probabilities`, so each result meets the :class:`OutcomeResult`
+    checks by construction. Above ``threshold`` it gets the post state
+    raws[k] / p, and all post states pass one stacked density-matrix gate.
+    The error raised is the one checking the outcomes one by one would raise
+    first. A threshold that is negative or NaN raises.
     """
     if not threshold >= 0.0:
         raise ValidationError(f"post-state threshold must be non-negative, got {threshold}")
-    p = raws.trace(axis1=1, axis2=2).real
-    (out_of_range,) = np.nonzero(~((p >= -DEFAULT_TOL) & (p <= 1.0 + DEFAULT_TOL)))
-    stop = out_of_range[0] if len(out_of_range) else len(p)
-    clamped = np.where(p < 0.0, 0.0, np.minimum(p, 1.0))
+    clamped, stop, error = _probabilities(labels, raws)
     (live,) = np.nonzero(clamped[:stop] > threshold)
     # Dividing by a small probability amplifies additive noise; scale the
     # validation tolerance accordingly.
     checked = _density_matrices(
         raws[live] / clamped[live, None, None], np.maximum(DEFAULT_TOL, 1e-13 / clamped[live])
     )
-    if stop < len(p):
-        raise ValidationError(
-            f"outcome {labels[stop]!r} has probability {float(p[stop])} outside [0, 1]"
-        )
-    posts = [None] * len(p)
-    for k, post in zip(live, checked):
-        posts[k] = post
+    if error is not None:
+        raise error
+    posts = dict(zip(live.tolist(), checked))
     return tuple(
         _checked(
-            OutcomeResult, label=label, probability=prob, post_state=post, raw_unnormalized=raw
+            OutcomeResult, label=label, probability=prob, post_state=posts.get(k),
+            raw_unnormalized=raw,
         )
-        for label, prob, post, raw in zip(labels, clamped.tolist(), posts, raws)
+        for k, (label, prob, raw) in enumerate(zip(labels, clamped.tolist(), raws))
     )
 
 
@@ -235,8 +251,11 @@ def measure_via_dilation(
 def outcome_statistics(
     inst: Instrument, rho, threshold: float = POST_STATE_THRESHOLD
 ) -> tuple:
-    """Apply each outcome map directly; the reference for measure_via_dilation."""
-    raws = np.stack([apply_map(dmap, rho) for _, dmap in inst.maps])
+    """Apply each outcome map directly; the reference for measure_via_dilation.
+
+    All K maps are applied as by :func:`apply_map`, in one stacked einsum.
+    """
+    raws = np.einsum("krpsq,pq->krs", inst._bmats, state_matrix(rho, inst.dim))
     return _make_outcomes(inst.labels, raws, threshold)
 
 
@@ -244,19 +263,26 @@ def sample_outcomes(dil: Dilation, rho, shots: int, seed) -> dict:
     """Draw outcome counts from the dilation statistics in one multinomial draw.
 
     The histogram of ``shots`` independent readouts is Multinomial(shots, p),
-    so the counts are drawn at once, in time and memory O(outcomes) whatever
-    the shot count. Counts always sum to shots and are identical for
-    identical seeds. Zero count outcomes are included in the histogram.
-    Shots must lie in [1, 2^63 - 1], the range of the sampler's counts.
+    so the counts are drawn at once, in time and memory O(outcomes), for any
+    whole number of shots in [1, 2^63 - 1]. Only the sector states' traces are
+    read; a ``rho`` not yet a :class:`DensityMatrix` passes its gate first.
+    Counts sum to shots, are identical for identical seeds and include
+    zero-count outcomes.
     """
+    if isinstance(shots, bool) or not isinstance(shots, numbers.Integral):
+        raise ValidationError(f"shots must be a whole number, got {shots!r}")
     if shots < 1:
         raise ValidationError(f"shots must be at least 1, got {shots}")
     if shots > np.iinfo(np.int64).max:
         raise ValidationError(f"shots must be at most 2^63 - 1, got {shots}")
-    outcomes = measure_via_dilation(dil, rho)
-    probs = np.array([o.probability for o in outcomes])
+    if not isinstance(rho, DensityMatrix):
+        rho = DensityMatrix(state_matrix(rho, dil.sys_dim))
+    labels = [sector.label for sector in dil.sectors]
+    probs, _, error = _probabilities(labels, sector_states(dil, rho))
+    if error is not None:
+        raise error
     total = probs.sum()
     if total <= 0.0:
         raise ValidationError("all outcome probabilities vanish; nothing to sample")
     counts = np.random.default_rng(seed).multinomial(shots, probs / total)
-    return {o.label: int(c) for o, c in zip(outcomes, counts)}
+    return dict(zip(labels, counts.tolist()))

@@ -97,6 +97,18 @@ def test_canonical_decompose_transpose_exposes_negative_weight():
     assert q.max_abs(weights - np.array([-1.0, 1.0, 1.0, 1.0])) < 1e-9
 
 
+@pytest.mark.parametrize("trunc_tol", [1.0, 2.5, -1e-300, np.inf, np.nan])
+def test_canonical_decompose_refuses_a_cutoff_outside_zero_one(trunc_tol):
+    # A cutoff of 1 or more would keep no eigenvalue of a nonzero map.
+    with pytest.raises(q.ValidationError, match="truncation cutoff"):
+        q.canonical_decompose(depolarizing_map(), trunc_tol)
+
+
+def test_canonical_decompose_accepts_cutoffs_just_inside_zero_one():
+    assert q.canonical_decompose(depolarizing_map(), 0.0).rank == 4
+    assert q.canonical_decompose(depolarizing_map(), np.nextafter(1.0, 0.0)).rank == 4
+
+
 def test_check_properties_identity_all_true():
     props = q.check_properties(q.map_from_kraus([(1.0, IDENTITY2)], 2))
     assert props.hermiticity_preserving

@@ -55,6 +55,19 @@ def test_decompose_reports_weights(tmp_path):
     assert report["results"]["reconstruction_error"] < 1e-9
 
 
+@pytest.mark.parametrize("cutoff", ["1", "3.5"])
+def test_decompose_refuses_a_cutoff_that_drops_every_term(tmp_path, cutoff):
+    report = run_to_report(
+        tmp_path,
+        ["decompose", "--channel", str(channel_path("amplitude_damping.json")),
+         "--trunc-tol", cutoff],
+        expect_code=1,
+    )
+    assert report["status"] == "error"
+    assert report["error"]["code"] == "ValidationError"
+    assert "truncation cutoff" in report["error"]["message"]
+
+
 def test_dilate_channel_reports_unitary(tmp_path):
     report = run_to_report(
         tmp_path, ["dilate", "--channel", str(channel_path("dephasing.json"))]

@@ -1,0 +1,35 @@
+"""Every module of the package uses each name it imports."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "qdilate"
+# __init__.py imports names to re-export them, not to use them.
+MODULES = sorted(p for p in SOURCE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list:
+    """Names bound by import statements that no expression of the module reads."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted((line, name) for name, line in imported.items() if name not in used)
+
+
+def test_the_guard_finds_an_unused_import():
+    source = "from .channel import apply_map, state_matrix\nimport numpy as np\nstate_matrix(np)\n"
+    assert unused_imports(source) == [(1, "apply_map")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_uses_every_name_it_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -1,5 +1,6 @@
 """Instruments: completeness, padding, joint dilation, statistics, sampling."""
 
+import dataclasses
 import itertools
 import re
 import time
@@ -467,11 +468,95 @@ def test_each_readout_makes_one_eigvalsh_call(monkeypatch):
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
-    for readout in (
-        lambda: q.measure_via_dilation(dil, rho),
-        lambda: q.outcome_statistics(inst, rho),
-        lambda: q.sample_outcomes(dil, rho, 1000, 1),
+    for readout, expected in (
+        (lambda: q.measure_via_dilation(dil, rho), [(4, 4, 4)]),
+        (lambda: q.outcome_statistics(inst, rho), [(4, 4, 4)]),
+        # Sampling builds no post states; it gates only an array input state.
+        (lambda: q.sample_outcomes(dil, rho.mat, 1000, 1), [(1, 4, 4)]),
+        (lambda: q.sample_outcomes(dil, rho, 1000, 1), []),
     ):
         calls.clear()
         readout()
-        assert calls == [(4, 4, 4)]
+        assert calls == expected
+
+
+def reference_counts(dil, rho, shots, seed):
+    """Sampling through the full readout: measure_via_dilation, then one draw."""
+    outcomes = q.measure_via_dilation(dil, rho)
+    p = np.array([o.probability for o in outcomes])
+    counts = np.random.default_rng(seed).multinomial(shots, p / p.sum())
+    return {o.label: int(c) for o, c in zip(outcomes, counts)}
+
+
+@st.composite
+def sampling_cases(draw):
+    """A split, projective or padded instrument (N 1..6, 1..4 outcomes) and a state."""
+    kind = draw(st.sampled_from(["split", "projective", "padded"]))
+    dim = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "projective":
+        inst = make_projective_instrument(dim, draw(st.integers(1, min(4, dim))), seed)
+    else:
+        rank = draw(st.integers(1, dim * dim))
+        mu = draw(st.integers(1, min(4 if kind == "split" else 3, rank)))
+        inst = make_split_instrument(dim, mu, seed, rank=rank)
+        if kind == "padded":
+            scale = draw(st.floats(0.05, 0.95))
+            inst = q.pad_to_complete(q.Instrument(
+                dim=dim, maps=tuple((label, q.DynamicalMap(scale * dmap.bmat))
+                                    for label, dmap in inst.maps)))
+    rho = q.random_density(dim, seed + 1)
+    return inst, rho if draw(st.booleans()) else rho.mat
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=sampling_cases(), shots=st.integers(1, 2**62), seed=st.integers(0, 2**32 - 1))
+def test_sample_counts_equal_the_full_readouts_draw(case, shots, seed):
+    inst, rho = case
+    dil = q.build_instrument_dilation(inst)
+    counts = q.sample_outcomes(dil, rho, shots, seed)
+    assert list(counts.items()) == list(reference_counts(dil, rho, shots, seed).items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.integers(1, 8), mu=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_outcome_statistics_equal_the_per_map_loop(dim, mu, seed):
+    mu = min(mu, dim * dim)
+    inst = make_split_instrument(dim, mu, seed)
+    rho = q.random_density(dim, seed + 1)
+    raws = np.stack([o.raw_unnormalized for o in q.outcome_statistics(inst, rho)])
+    assert np.array_equal(raws, direct_raws(inst, rho))
+
+
+@pytest.mark.parametrize(
+    "rho",
+    [np.diag([1.0, 0.8]), np.array([[0.5, 0.3], [0.0, 0.5]])]
+    + [rho for rho, _ in FAILING_READOUTS.values()],
+    ids=["trace", "hermiticity", *sorted(FAILING_READOUTS)],
+)
+def test_sample_refuses_an_input_that_is_not_a_state(rho):
+    dil = q.build_instrument_dilation(basis_instrument())
+    with pytest.raises(q.ValidationError, match="density matrix must"):
+        q.sample_outcomes(dil, rho, 100, 1)
+
+
+@pytest.mark.parametrize("shots", [10.5, 10.0, True, np.float64(3.0), "10", None])
+def test_sample_refuses_shots_that_are_not_whole_numbers(plus_state, shots):
+    dil = q.build_instrument_dilation(basis_instrument())
+    with pytest.raises(q.ValidationError, match="whole number"):
+        q.sample_outcomes(dil, plus_state, shots, 5)
+
+
+def test_sample_accepts_numpy_integer_shots(plus_state):
+    dil = q.build_instrument_dilation(basis_instrument())
+    for shots in (np.int64(1000), np.uint8(200), np.int32(7)):
+        counts = q.sample_outcomes(dil, plus_state, shots, 5)
+        assert counts == q.sample_outcomes(dil, plus_state, int(shots), 5)
+        assert sum(counts.values()) == shots
+
+
+def test_prechecked_results_stay_frozen(plus_state):
+    (outcome, _) = q.measure_via_dilation(q.build_instrument_dilation(basis_instrument()), plus_state)
+    for obj, name in ((outcome, "probability"), (outcome.post_state, "mat")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, None)
