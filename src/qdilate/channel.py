@@ -16,7 +16,8 @@ representable with negative weights.
 from __future__ import annotations
 
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -77,12 +78,11 @@ class DensityMatrix:
     """A valid quantum state: Hermitian, unit trace, positive semidefinite."""
 
     mat: np.ndarray
-    tol: InitVar[float] = DEFAULT_TOL
 
-    def __post_init__(self, tol):
+    def __post_init__(self):
         mat = _square_complex(self.mat, "density matrix")
         object.__setattr__(self, "mat", mat)
-        _check_states(mat[None], np.array([tol], dtype=float))
+        _check_states(mat[None], np.array([DEFAULT_TOL]))
 
     @property
     def dim(self) -> int:
@@ -134,6 +134,13 @@ class DynamicalMap:
     @property
     def dim(self) -> int:
         return math.isqrt(self.bmat.shape[0])
+
+    @cached_property
+    def spectrum(self) -> tuple:
+        """The map's one eigendecomposition, ``hermitian_eig(bmat)``, as read-only arrays."""
+        vals, vecs = hermitian_eig(self.bmat)
+        vals.flags.writeable = vecs.flags.writeable = False
+        return vals, vecs
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,7 +253,7 @@ def apply_map(dmap: DynamicalMap, rho) -> np.ndarray:
 def canonical_decompose(
     dmap: DynamicalMap, trunc_tol: float = TRUNCATION_TOL
 ) -> CanonicalDecomposition:
-    """Eigendecompose the dynamical matrix into weighted eigen-operators.
+    """The map's ``spectrum`` as weighted eigen-operators.
 
     Eigenvalues with ``|w| <= trunc_tol * max|w|`` are dropped; the kept
     eigenvalues are the weights, and each kept eigenvector is reshaped
@@ -256,7 +263,7 @@ def canonical_decompose(
     if not 0.0 <= trunc_tol < 1.0:
         raise ValidationError(f"truncation cutoff must lie in [0, 1), got {trunc_tol}")
     n = dmap.dim
-    vals, vecs = hermitian_eig(dmap.bmat)
+    vals, vecs = dmap.spectrum
     keep = np.abs(vals) > trunc_tol * np.max(np.abs(vals), initial=0.0)
     weights = vals[keep]
     ops = vecs[:, keep].T.reshape(len(weights), n, n)
@@ -267,12 +274,13 @@ def check_properties(dmap: DynamicalMap, tol: float = DEFAULT_TOL) -> MapPropert
     """Report Hermiticity preservation, trace preservation and complete positivity.
 
     Reports only, never raises on unphysical maps: non-CP and non-TP maps are
-    legitimate inputs elsewhere.
+    legitimate inputs elsewhere. ``min_eigenvalue`` is the smallest weight of
+    ``dmap.spectrum``, the number ``Instrument`` and the dilation builders gate.
     """
     n = dmap.dim
     herm_defect = max_abs(dmap.bmat - dagger(dmap.bmat))
     trace_defect = max_abs(povm_effect(dmap) - np.eye(n))
-    min_eig = min_eigenvalue(dmap.bmat)
+    min_eig = float(dmap.spectrum[0].min())
     return MapProperties(
         hermiticity_preserving=herm_defect <= tol,
         trace_preserving=trace_defect <= tol,

@@ -175,9 +175,10 @@ def _unitarity_residual(u: np.ndarray) -> float:
 def _sqrt_weights(dec: CanonicalDecomposition) -> np.ndarray:
     """Square roots of the weights, clamping eigen-noise negatives to zero.
 
-    A weight below -DEFAULT_TOL raises; that is the bound at which
-    ``check_properties`` and ``Instrument`` call a map not CP, so a map dilates
-    as a channel exactly when it does as a one-outcome instrument.
+    A weight below -DEFAULT_TOL raises. The weights come from the map's one
+    ``spectrum``, whose smallest ``check_properties`` and ``Instrument`` test
+    against the same bound, so all three decide complete positivity from the
+    same floats.
     """
     (negative,) = np.nonzero(dec.weights < -DEFAULT_TOL)
     if len(negative):

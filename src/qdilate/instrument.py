@@ -33,10 +33,11 @@ from .errors import (
     DimensionMismatch,
     Incomplete,
     NotCompletelyPositive,
+    NotPSD,
     OverComplete,
     ValidationError,
 )
-from .linalg import DEFAULT_TOL, dagger, max_abs, min_eigenvalue, psd_sqrt
+from .linalg import DEFAULT_TOL, dagger, max_abs, psd_sqrt
 
 # Outcomes with probability at or below this get no normalized post state.
 POST_STATE_THRESHOLD = 1e-12
@@ -58,7 +59,9 @@ class Instrument:
     ``defect`` is the identity minus the total effect, a read-only array
     computed once; the instrument is ``complete`` when no entry of it exceeds
     ``DEFAULT_TOL`` in magnitude, the bound at which its dilation's isometry
-    counts as one, so a set is complete exactly when it dilates.
+    counts as one, so a set is complete exactly when it dilates. An outcome is
+    CP when its ``spectrum``, the one the dilation reads, has no weight below
+    ``-DEFAULT_TOL``.
     """
 
     dim: int
@@ -80,9 +83,7 @@ class Instrument:
                 raise DimensionMismatch(
                     f"outcome {label!r} has dim {dmap.dim}, instrument has dim {self.dim}"
                 )
-            min_eig = min_eigenvalue(dmap.bmat)
-            # Eigen-solver noise on a CP map stays above -DEFAULT_TOL, the
-            # bound check_properties and the dilation builders also use.
+            min_eig = dmap.spectrum[0].min()
             if not min_eig >= -DEFAULT_TOL:
                 raise NotCompletelyPositive(
                     f"outcome {label!r} is not completely positive "
@@ -190,19 +191,18 @@ def pad_to_complete(inst: Instrument) -> Instrument:
 
     The discard map has the single Kraus operator sqrt(defect), the minimal
     realization of the missing effect. A defect with an eigenvalue below
-    -DEFAULT_TOL means the existing outcomes already overshoot probability 1,
-    which no padding can fix.
+    -DEFAULT_TOL, which :func:`psd_sqrt` refuses, means the existing outcomes
+    already overshoot probability 1, which no padding can fix.
     """
     if inst.complete:
         return inst
-    defect = (inst.defect + dagger(inst.defect)) / 2
-    min_eig = min_eigenvalue(defect)
-    if not min_eig >= -DEFAULT_TOL:
+    try:
+        kraus = psd_sqrt((inst.defect + dagger(inst.defect)) / 2)
+    except NotPSD as exc:
         raise OverComplete(
-            f"total effect exceeds identity (defect eigenvalue {min_eig:.3e}); "
+            f"total effect exceeds identity (defect {exc}); "
             "outcome probabilities would sum above 1"
-        )
-    kraus = psd_sqrt(defect)
+        ) from exc
     label = "discard"
     suffix = 1
     while label in inst.labels:

@@ -1,4 +1,6 @@
-"""One bound per invariant: complete, padded and trace-preserving exactly when a dilation builds."""
+"""One bound per invariant: complete, padded, TP and CP exactly when a dilation builds."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -120,3 +122,59 @@ def test_effects_above_the_identity_by_5e_10_are_overcomplete():
     assert not inst.complete
     with pytest.raises(q.OverComplete):
         q.pad_to_complete(inst)
+
+
+def weyl_ops(dim: int) -> list:
+    """The dim^2 Weyl operators X^a Z^b / sqrt(dim): HS-orthonormal, each L^dagger L = I / dim."""
+    shift = np.roll(np.eye(dim), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(dim) / dim))
+    return [
+        np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b) / np.sqrt(dim)
+        for a in range(dim)
+        for b in range(dim)
+    ]
+
+
+def boundary_map(dim: int, low: float, seed) -> q.DynamicalMap:
+    """A trace-preserving map whose smallest canonical weight is ``low``.
+
+    The last Weyl operator carries ``low`` and the others random positive
+    weights summing to dim - low, so the effects sum to the identity.
+    """
+    ops = weyl_ops(dim)
+    rest = np.random.default_rng(seed).random(len(ops) - 1)
+    rest *= (dim - low) / rest.sum()
+    return q.map_from_kraus(list(zip(rest, ops[:-1])) + [(low, ops[-1])], dim)
+
+
+def accepts(build) -> bool:
+    try:
+        build()
+    except q.NotCompletelyPositive:
+        return False
+    return True
+
+
+def one_outcome(dmap: q.DynamicalMap) -> q.Instrument:
+    return q.Instrument(dim=dmap.dim, maps=(("map", dmap),))
+
+
+def test_check_instrument_and_both_dilations_call_the_same_maps_cp():
+    # 1,602 maps with smallest weight -DEFAULT_TOL + k * 1e-17, |k| <= 400,
+    # N = 2 and 3: within a few roundings of the bound, where eigvalsh and
+    # eigh can fall on opposite sides of it, so two eigen-solvers would split
+    # the decision.
+    split, seen = [], set()
+    for dim, k in itertools.product([2, 3], range(-400, 401)):
+        dmap = boundary_map(dim, -q.DEFAULT_TOL + k * 1e-17, 1000 * dim + k)
+        decisions = (
+            q.check_properties(dmap).completely_positive,
+            accepts(lambda: one_outcome(dmap)),
+            accepts(lambda: q.build_dilation_unitary(q.canonical_decompose(dmap))),
+            accepts(lambda: q.build_instrument_dilation(one_outcome(dmap))),
+        )
+        seen.add(decisions[0])
+        if len(set(decisions)) > 1:
+            split.append((dim, k, decisions))
+    assert split == []
+    assert seen == {True, False}

@@ -1,4 +1,5 @@
-"""Every module of the package uses each name it imports."""
+"""Every module of the package uses each name it imports, and eigendecomposes a
+dynamical matrix only in ``DynamicalMap.spectrum``."""
 
 import ast
 from pathlib import Path
@@ -33,3 +34,46 @@ def test_the_guard_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+EIGEN_SOLVERS = {"hermitian_eig", "min_eigenvalue"}
+
+
+def _called_name(call: ast.Call) -> str:
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", "")
+
+
+def bmat_eigensolves(source: str) -> list:
+    """Lines outside ``DynamicalMap.spectrum`` that pass a ``.bmat`` to an eigen-solver."""
+    tree = ast.parse(source)
+    allowed = {
+        id(node)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name == "DynamicalMap"
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and fn.name == "spectrum"
+        for node in ast.walk(fn)
+    }
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and id(node) not in allowed
+        and _called_name(node) in EIGEN_SOLVERS
+        and any(
+            isinstance(sub, ast.Attribute) and sub.attr == "bmat"
+            for arg in [*node.args, *(kw.value for kw in node.keywords)]
+            for sub in ast.walk(arg)
+        )
+    )
+
+
+def test_the_guard_finds_an_eigensolve_outside_the_spectrum():
+    source = "def spectrum(self):\n    return min_eigenvalue(self.bmat), hermitian_eig(rho)\n"
+    assert bmat_eigensolves(source) == [2]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_only_the_spectrum_eigendecomposes_a_dynamical_matrix(path):
+    assert bmat_eigensolves(path.read_text(encoding="utf-8")) == []

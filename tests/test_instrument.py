@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdilate as q
-from qdilate import instrument
+from qdilate import channel, instrument, linalg
 from qdilate.dilation import sector_states
 
 from conftest import (
@@ -298,15 +298,22 @@ def test_outcome_result_refuses_nan_trace():
         q.OutcomeResult(label="x", probability=0.5, post_state=None, raw_unnormalized=raw)
 
 
+def nan_eig(m):
+    """An eigendecomposition whose eigenvalues are all NaN."""
+    return np.full(len(m), np.nan), np.eye(len(m), dtype=complex)
+
+
 def test_instrument_cp_gate_refuses_nan(monkeypatch):
-    monkeypatch.setattr(instrument, "min_eigenvalue", lambda m: float("nan"))
+    # The gate reads the outcome map's spectrum.
+    monkeypatch.setattr(channel, "hermitian_eig", nan_eig)
     with pytest.raises(q.NotCompletelyPositive, match="outcome '0'"):
         p0_instrument()
 
 
 def test_pad_psd_gate_refuses_nan(monkeypatch):
+    # The gate is psd_sqrt's, on the eigenvalues of the defect.
     inst = p0_instrument()
-    monkeypatch.setattr(instrument, "min_eigenvalue", lambda m: float("nan"))
+    monkeypatch.setattr(linalg, "hermitian_eig", nan_eig)
     with pytest.raises(q.OverComplete):
         q.pad_to_complete(inst)
 
@@ -349,7 +356,9 @@ def reference_outcomes(labels, raws, threshold=q.POST_STATE_THRESHOLD):
         p = min(max(p, 0.0), 1.0)
         post = None
         if p > threshold:
-            post = q.DensityMatrix(raw / p, tol=max(q.DEFAULT_TOL, 1e-13 / p))
+            mat = raw / p
+            channel._check_states(mat[None], np.array([max(q.DEFAULT_TOL, 1e-13 / p)]))
+            post = channel._checked(q.DensityMatrix, mat=mat)
         results.append(
             q.OutcomeResult(label=label, probability=p, post_state=post, raw_unnormalized=raw)
         )
@@ -478,6 +487,37 @@ def test_each_readout_makes_one_eigvalsh_call(monkeypatch):
         calls.clear()
         readout()
         assert calls == expected
+
+
+def test_each_map_is_eigendecomposed_once(monkeypatch):
+    n, mu = 3, 3
+    channel_map = q.random_cptp(n, n * n, 18_200)
+    # Effects summing to 0.8 I: the set needs a discard outcome.
+    maps = tuple(
+        (label, q.DynamicalMap(0.8 * dmap.bmat))
+        for label, dmap in make_split_instrument(n, mu, 18_201).maps
+    )
+    calls = {"eigh": [], "eigvalsh": []}
+    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls["eigh"].append(m.shape) or eigh(m))
+    monkeypatch.setattr(
+        np.linalg, "eigvalsh", lambda m: calls["eigvalsh"].append(m.shape) or eigvalsh(m)
+    )
+
+    q.check_properties(channel_map)
+    dec = q.canonical_decompose(channel_map)
+    q.build_dilation_unitary(dec)
+    assert calls == {"eigh": [(n * n, n * n)], "eigvalsh": []}
+    vals, vecs = channel_map.spectrum
+    assert not vals.flags.writeable and not vecs.flags.writeable
+    assert not np.shares_memory(dec.weights, vals)
+    assert not np.shares_memory(dec.ops, vecs)
+
+    calls["eigh"].clear()
+    padded = q.pad_to_complete(q.Instrument(dim=n, maps=maps))
+    q.build_instrument_dilation(padded)
+    # One eigh per outcome map, the defect's square root, then the discard map.
+    assert calls == {"eigh": [(n * n, n * n)] * mu + [(n, n), (n * n, n * n)], "eigvalsh": []}
 
 
 def reference_counts(dil, rho, shots, seed):
