@@ -113,12 +113,16 @@ class DynamicalMap:
 
     A matrix off Hermitian by more than ``DEFAULT_TOL`` raises
     :class:`ValidationError`, whether it was built or read from a file.
+    ``bmat`` is read-only: a caller's writeable array or a view is copied once.
     """
 
     bmat: np.ndarray = field(repr=False)
 
     def __post_init__(self):
         bmat = _square_complex(self.bmat, "dynamical matrix")
+        if bmat.base is not None or (bmat is self.bmat and bmat.flags.writeable):
+            bmat = bmat.copy()
+        bmat.flags.writeable = False
         object.__setattr__(self, "bmat", bmat)
         side = bmat.shape[0]
         dim = math.isqrt(side)
@@ -214,19 +218,26 @@ def map_from_kraus(terms, dim: int) -> DynamicalMap:
 
     ``terms`` is a sequence of ``(weight, op)`` pairs with real weights and
     dim x dim operators; operators need not be normalized here. The result is
-    ``sum_a w_a vec(K_a) vec(K_a)^dagger`` with row-major ``vec``, Hermitian
-    by construction.
+    ``sum_a w_a vec(K_a) vec(K_a)^dagger`` with row-major ``vec``, formed as
+    one BLAS product ``(M^T diag(w)) conj(M)`` of the r x dim^2 stack M of
+    flattened operators: the same bits at any BLAS thread count, Hermitian to
+    rounding (not bitwise), and handed to :class:`DynamicalMap` read-only.
     """
-    bmat = np.zeros((dim * dim, dim * dim), dtype=complex)
+    weights, flat = [], []
     for weight, op in terms:
-        w = float(weight)
+        weights.append(float(weight))
         op = np.asarray(op, dtype=complex)
         if op.shape != (dim, dim):
             raise DimensionMismatch(
                 f"Kraus operator shape {op.shape} does not match dim {dim}"
             )
-        v = op.reshape(-1)
-        bmat += w * np.outer(v, v.conj())
+        flat.append(op.reshape(-1))
+    stack = np.array(flat, dtype=complex).reshape(len(flat), dim * dim)
+    del flat
+    scaled = stack.T * np.array(weights)
+    bmat = scaled @ np.conjugate(stack, out=stack)
+    del stack, scaled
+    bmat.flags.writeable = False
     return DynamicalMap(bmat)
 
 

@@ -69,10 +69,11 @@ def _lex_key(col: np.ndarray):
 def hermitian_eig(h: np.ndarray):
     """Eigendecomposition of a Hermitian matrix with a deterministic ordering.
 
-    Eigenvalues come back sorted descending. Each eigenvector has its
-    largest-magnitude component rotated to be real positive, and columns of
-    exactly equal eigenvalue are ordered lexicographically (descending) by
-    their components, so degenerate inputs still decompose reproducibly.
+    Eigenvalues come back sorted descending (``eigh``'s order, reversed). Each
+    eigenvector has its largest-magnitude component rotated to be real
+    positive, and columns of exactly equal eigenvalue are ordered
+    lexicographically (descending) by their components, so degenerate inputs
+    still decompose reproducibly; that pass runs only if there are such ties.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvectors as orthonormal
     columns satisfying ``h = V diag(w) V^dagger``. A matrix off Hermitian by
@@ -87,18 +88,16 @@ def hermitian_eig(h: np.ndarray):
             f"matrix deviates from Hermitian by {defect:.3e} (tol {DEFAULT_TOL:.1e})"
         )
     vals, vecs = np.linalg.eigh(h)
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    vecs = vecs[:, order]
+    vals, vecs = vals[::-1], vecs[:, ::-1]
     # Rotate each column so its largest-magnitude component is real positive.
     # np.hypot rounds as the scalar abs() of a complex number does, while
     # np.abs of a complex array can differ in the last bit, which would
     # change the operators and so U.
     peak = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(len(vals))]
     vecs *= peak.conj() / np.hypot(peak.real, peak.imag)
-    # Reorder within groups of exactly equal eigenvalues.
+    # Reorder within groups of exactly equal eigenvalues, if there are any.
     i = 0
-    n = len(vals)
+    n = len(vals) if (vals[1:] == vals[:-1]).any() else 0
     while i < n:
         j = i
         while j + 1 < n and vals[j + 1] == vals[i]:

@@ -1,5 +1,6 @@
 """Dynamical maps: construction, application, eigen-decomposition, properties."""
 
+import re
 import tracemalloc
 
 import numpy as np
@@ -55,6 +56,94 @@ def test_map_from_kraus_matrix_units_give_half_identity():
 def test_map_from_kraus_rejects_wrong_shape():
     with pytest.raises(q.DimensionMismatch):
         q.map_from_kraus([(1.0, np.eye(3))], 2)
+
+
+def outer_product_sum(terms, dim):
+    """Reference: the dynamical matrix as one outer product per Kraus term."""
+    bmat = np.zeros((dim * dim, dim * dim), dtype=complex)
+    for weight, op in terms:
+        v = np.asarray(op, dtype=complex).reshape(-1)
+        bmat += float(weight) * np.outer(v, v.conj())
+    return bmat
+
+
+@st.composite
+def kraus_terms(draw):
+    """N in 1..6 and 1..N^2 Gaussian operators with weights of either sign, some zero."""
+    dim = draw(st.integers(1, 6))
+    rank = draw(st.integers(1, dim * dim))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (rank, dim, dim)
+    ops = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    weights = rng.standard_normal(rank) * (rng.random(rank) < draw(st.floats(0.0, 1.0)))
+    return dim, list(zip(weights, ops))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=kraus_terms())
+def test_map_from_kraus_equals_the_outer_product_loop(case):
+    # One GEMM sums the terms in another order than the loop: entries and
+    # the Hermiticity defect stay within 4 r eps sum_a |w_a| ||vec K_a||^2.
+    dim, terms = case
+    scale = sum(abs(w) * np.sum(np.abs(op) ** 2) for w, op in terms)
+    bound = 4 * len(terms) * np.finfo(float).eps * scale
+    bmat = q.map_from_kraus(terms, dim).bmat
+    assert q.max_abs(bmat - outer_product_sum(terms, dim)) <= bound
+    assert q.max_abs(bmat - q.dagger(bmat)) <= bound
+
+
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_map_from_kraus_of_no_terms_is_the_zero_map(dim):
+    bmat = q.map_from_kraus([], dim).bmat
+    assert bmat.dtype == complex
+    assert np.array_equal(bmat, np.zeros((dim * dim, dim * dim)))
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=kraus_terms(), data=st.data())
+def test_map_from_kraus_names_a_wrong_shaped_term_at_any_position(case, data):
+    dim, terms = case
+    bad = np.ones((dim, dim + 1))
+    terms.insert(data.draw(st.integers(0, len(terms))), (1.0, bad))
+    message = f"Kraus operator shape {bad.shape} does not match dim {dim}"
+    with pytest.raises(q.DimensionMismatch, match=f"^{re.escape(message)}$"):
+        q.map_from_kraus(terms, dim)
+
+
+@pytest.mark.parametrize("dim", [10, 12])
+def test_map_from_kraus_peaks_below_four_dynamical_matrices(dim):
+    rng = np.random.default_rng(dim)
+    shape = (dim * dim, dim, dim)
+    ops = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    terms = list(zip(rng.standard_normal(dim * dim), ops))
+    tracemalloc.start()
+    try:
+        q.map_from_kraus(terms, dim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 16 * dim**4
+
+
+def test_writing_into_the_callers_array_leaves_the_map_unchanged():
+    b = q.random_cptp(2, 4, 29).bmat.copy()
+    dmap = q.DynamicalMap(b)
+    assert q.check_properties(dmap).completely_positive
+    b *= -1
+    assert np.array_equal(dmap.bmat, -b)
+    assert q.check_properties(dmap) == q.check_properties(q.DynamicalMap(dmap.bmat))
+    assert not q.check_properties(q.DynamicalMap(b)).completely_positive
+    with pytest.raises(ValueError, match="read-only"):
+        dmap.bmat[0, 0] = 0.0
+    # A read-only view of a writeable array is copied too; a frozen array,
+    # such as map_from_kraus's result, is shared.
+    base = np.eye(4, dtype=complex)
+    view = base[:]
+    view.flags.writeable = False
+    held = q.DynamicalMap(view)
+    base[0, 0] = 5.0
+    assert held.bmat[0, 0] == 1.0
+    assert q.DynamicalMap(dmap.bmat).bmat is dmap.bmat
 
 
 def test_apply_map_identity_returns_state():

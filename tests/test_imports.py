@@ -1,5 +1,6 @@
-"""Every module of the package uses each name it imports, and eigendecomposes a
-dynamical matrix only in ``DynamicalMap.spectrum``."""
+"""Every module of the package uses each name it imports, eigendecomposes a
+dynamical matrix only in ``DynamicalMap.spectrum``, and forms no outer product
+one loop iteration at a time."""
 
 import ast
 from pathlib import Path
@@ -77,3 +78,36 @@ def test_the_guard_finds_an_eigensolve_outside_the_spectrum():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_only_the_spectrum_eigendecomposes_a_dynamical_matrix(path):
     assert bmat_eigensolves(path.read_text(encoding="utf-8")) == []
+
+
+def outer_products_in_loops(source: str) -> list:
+    """Lines that call ``np.outer`` inside the body of a ``for`` or ``while`` loop.
+
+    A sum of outer products is one matrix product; ``np.multiply.outer`` is
+    not matched.
+    """
+    tree = ast.parse(source)
+    return sorted(
+        {
+            node.lineno
+            for loop in ast.walk(tree)
+            if isinstance(loop, (ast.For, ast.While))
+            for stmt in loop.body
+            for node in ast.walk(stmt)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "outer"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "np"
+        }
+    )
+
+
+def test_the_guard_finds_an_outer_product_in_a_loop():
+    source = "for v in vecs:\n    b += np.outer(v, v.conj())\nc = np.outer(u, u)\n"
+    assert outer_products_in_loops(source) == [2]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_no_module_sums_outer_products_in_a_loop(path):
+    assert outer_products_in_loops(path.read_text(encoding="utf-8")) == []

@@ -87,7 +87,7 @@ def test_load_channel_rejects_non_hermitian_dynamical_matrix(tmp_path):
 def test_dynamical_matrix_files_share_the_hermiticity_bound(tmp_path, defect, loads):
     # The identity channel's B with one entry off its mirror by `defect`:
     # files are held to DEFAULT_TOL, like every other dynamical matrix.
-    bmat = q.map_from_kraus([(1.0, IDENTITY2)], 2).bmat
+    bmat = q.map_from_kraus([(1.0, IDENTITY2)], 2).bmat.copy()
     bmat[0, 3] += defect
     doc = {
         "format_version": "1",

@@ -122,6 +122,74 @@ def test_hermitian_eig_deterministic_on_degenerate_input():
     assert np.array_equal(vecs1, vecs2)
 
 
+def argsort_hermitian_eig(h):
+    """Reference: eigh, an argsort and two gathers, then a tie pass over every eigenvalue."""
+    vals, vecs = np.linalg.eigh(np.asarray(h, dtype=complex))
+    order = np.argsort(-vals, kind="stable")
+    vals, vecs = vals[order], vecs[:, order]
+    peak = vecs[np.argmax(np.abs(vecs), axis=0), np.arange(len(vals))]
+    vecs *= peak.conj() / np.hypot(peak.real, peak.imag)
+    i = 0
+    while i < len(vals):
+        j = i
+        while j + 1 < len(vals) and vals[j + 1] == vals[i]:
+            j += 1
+        if j > i:
+            cols = sorted(
+                range(i, j + 1),
+                key=lambda c: tuple((x.real, x.imag) for x in vecs[:, c]),
+                reverse=True,
+            )
+            vecs[:, i : j + 1] = vecs[:, cols]
+        i = j + 1
+    return vals, vecs
+
+
+def weyl_depolarizer(dim, keep):
+    """Weight ``keep`` on the identity and the rest spread over the other Weyl operators."""
+    shift = np.roll(np.eye(dim), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(dim) / dim))
+    ops = [
+        np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
+        for a in range(dim)
+        for b in range(dim)
+    ]
+    weights = [keep] + [(1 - keep) / (dim * dim - 1)] * (dim * dim - 1)
+    return q.map_from_kraus(zip(weights, ops), dim).bmat
+
+
+def degenerate_matrices():
+    rng = np.random.default_rng(41)
+    for dim in range(1, 7):
+        yield np.eye(dim) / dim
+        yield np.diag(rng.integers(-2, 3, dim).astype(float))
+        yield np.diag(np.repeat(rng.standard_normal(2), dim))
+    for dim in (2, 3, 4):
+        yield weyl_depolarizer(dim, 1 / dim**2)
+        yield weyl_depolarizer(dim, 0.7)
+
+
+def test_hermitian_eig_equals_the_argsort_reference_on_degenerate_spectra():
+    tied = 0
+    for h in degenerate_matrices():
+        vals, vecs = q.hermitian_eig(h)
+        ref_vals, ref_vecs = argsort_hermitian_eig(h)
+        assert np.array_equal(vals, ref_vals)
+        assert np.array_equal(vecs, ref_vecs)
+        tied += bool((vals[1:] == vals[:-1]).any())
+    assert tied >= 15
+
+
+@settings(max_examples=100, deadline=None)
+@given(dim=st.integers(1, 36), seed=st.integers(0, 2**32 - 1))
+def test_hermitian_eig_equals_the_argsort_reference(dim, seed):
+    h = random_hermitian(dim, np.random.default_rng(seed))
+    vals, vecs = q.hermitian_eig(h)
+    ref_vals, ref_vecs = argsort_hermitian_eig(h)
+    assert np.array_equal(vals, ref_vals)
+    assert np.array_equal(vecs, ref_vecs)
+
+
 def test_psd_sqrt_of_projector_is_projector():
     assert q.max_abs(q.psd_sqrt(P1) - P1) < 1e-12
 

@@ -2,7 +2,9 @@
 
 Each run builds dilations in a fresh interpreter with the BLAS and OpenMP
 thread counts fixed before numpy loads, and prints hashes of everything it
-built; runs at 1 and 2 threads must print the same lines. The sector readout
+built; runs at 1 and 2 threads must print the same lines. So must the
+dynamical matrices ``map_from_kraus`` forms in one BLAS product, at N = 8, 12
+and 16 with full-rank signed Kraus sums. The sector readout
 at N = 12 and 16 reads an isometry and a state saved by a 1-thread process:
 building them (random_cptp's QR, canonical_decompose's eigh) changes bits
 with the thread count at N >= 12, and the readout must not add to that.
@@ -52,6 +54,11 @@ for n in (5, 8):
     outcomes = q.measure_via_dilation(q.build_instrument_dilation(q.pad_to_complete(half)), rho)
     print(n, [(o.label, o.probability.hex(), digest(o.raw_unnormalized.tobytes()),
                digest(o.post_state.mat.tobytes())) for o in outcomes])
+for n in (8, 12, 16):
+    rng = np.random.default_rng(500 + n)
+    shape = (n * n, n, n)
+    ops = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    print(n, digest(q.map_from_kraus(zip(rng.standard_normal(n * n), ops), n).bmat.tobytes()))
 saved = np.load(sys.argv[1])
 for n in (12, 16):
     iso = saved[f"iso{n}"]
@@ -100,5 +107,5 @@ def test_unitaries_and_reports_do_not_depend_on_blas_threads(tmp_path):
     run_probe(1, SAVE, [str(saved)])
     args = [str(saved), *argvs]
     one = run_probe(1, PROBE, args)
-    assert len(one.splitlines()) == 6 + len(argvs)
+    assert len(one.splitlines()) == 9 + len(argvs)
     assert one == run_probe(2, PROBE, args)
