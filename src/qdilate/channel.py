@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import BadRank, DimensionMismatch, ValidationError
-from .linalg import DEFAULT_TOL, dagger, hermitian_eig, max_abs, min_eigenvalue
+from .linalg import DEFAULT_TOL, dagger, factor_eig, max_abs, min_eigenvalue, sorted_eigh
 
 # Relative cutoff below which decomposition eigenvalues count as zero rank.
 TRUNCATION_TOL = 1e-12
@@ -112,11 +112,16 @@ class DynamicalMap:
     """Hermitian dynamical matrix of a linear map on N x N density matrices.
 
     A matrix off Hermitian by more than ``DEFAULT_TOL`` raises
-    :class:`ValidationError`, whether it was built or read from a file.
-    ``bmat`` is read-only: a caller's writeable array or a view is copied once.
+    :class:`ValidationError`, whether it was built or read from a file; the
+    defect max|B - B^dagger| is kept as ``hermiticity_defect``. ``bmat`` is
+    read-only: a caller's writeable array or a view is copied once.
+    :func:`map_from_kraus` may attach a factor F with B = F F^dagger (up to
+    rounding), which ``spectrum`` then decomposes instead of B.
     """
 
     bmat: np.ndarray = field(repr=False)
+    hermiticity_defect: float = field(init=False, repr=False)
+    _factor: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         bmat = _square_complex(self.bmat, "dynamical matrix")
@@ -128,12 +133,16 @@ class DynamicalMap:
         dim = math.isqrt(side)
         if dim * dim != side:
             raise DimensionMismatch(f"dynamical matrix side {side} is not a perfect square")
-        herm = max_abs(bmat - dagger(bmat))
+        # B^dagger - B in place: the same defect as B - B^dagger, one temporary.
+        diff = dagger(bmat)
+        diff -= bmat
+        herm = max_abs(diff)
         if not herm <= DEFAULT_TOL:
             raise ValidationError(
                 "dynamical matrix must be Hermitian, i.e. the map must preserve "
                 f"Hermiticity (deviation {herm:.3e}, tol {DEFAULT_TOL:.1e})"
             )
+        object.__setattr__(self, "hermiticity_defect", herm)
 
     @property
     def dim(self) -> int:
@@ -141,10 +150,33 @@ class DynamicalMap:
 
     @cached_property
     def spectrum(self) -> tuple:
-        """The map's one eigendecomposition, ``hermitian_eig(bmat)``, as read-only arrays."""
-        vals, vecs = hermitian_eig(self.bmat)
+        """The map's one eigendecomposition, as read-only arrays, weights descending.
+
+        A map that :func:`map_from_kraus` built from r < N^2 terms with no
+        negative weight is decomposed from its N^2 x r factor F by
+        ``factor_eig(F)``, a thin SVD: r eigenpairs, and the other N^2 - r
+        eigenvalues are exactly 0. Every other map (read from a dynamical
+        matrix, built as ``DynamicalMap(bmat)``, of full Kraus rank or with a
+        negative weight) gets the N^2 pairs of ``hermitian_eig(bmat)`` from
+        ``sorted_eigh(bmat)``, which skips the Hermiticity check the validator
+        has made. Both routes follow the same phase and tie conventions.
+        """
+        if self._factor is not None:
+            vals, vecs = factor_eig(self._factor)
+        else:
+            vals, vecs = sorted_eigh(self.bmat)
         vals.flags.writeable = vecs.flags.writeable = False
         return vals, vecs
+
+    @property
+    def min_eigenvalue(self) -> float:
+        """Smallest eigenvalue of B: of ``spectrum``, or 0.0 if that omits zeros.
+
+        A NaN in the spectrum gives NaN, so every ``>=`` gate on it fails.
+        """
+        vals = self.spectrum[0]
+        zeros_omitted = len(vals) < self.dim**2
+        return float(np.min(vals, initial=0.0 if zeros_omitted else np.inf))
 
 
 @dataclass(frozen=True, eq=False)
@@ -222,6 +254,9 @@ def map_from_kraus(terms, dim: int) -> DynamicalMap:
     one BLAS product ``(M^T diag(w)) conj(M)`` of the r x dim^2 stack M of
     flattened operators: the same bits at any BLAS thread count, Hermitian to
     rounding (not bitwise), and handed to :class:`DynamicalMap` read-only.
+    With r < dim^2 terms and no negative weight, the map also keeps the
+    dim^2 x r factor ``F = M^T diag(sqrt(w))``, so its ``spectrum`` is a thin
+    SVD of F rather than an ``eigh`` of the dim^2 x dim^2 matrix.
     """
     weights, flat = [], []
     for weight, op in terms:
@@ -232,13 +267,24 @@ def map_from_kraus(terms, dim: int) -> DynamicalMap:
                 f"Kraus operator shape {op.shape} does not match dim {dim}"
             )
         flat.append(op.reshape(-1))
+    weights = np.array(weights)
     stack = np.array(flat, dtype=complex).reshape(len(flat), dim * dim)
     del flat
-    scaled = stack.T * np.array(weights)
+    scaled = stack.T * weights
     bmat = scaled @ np.conjugate(stack, out=stack)
-    del stack, scaled
+    del scaled
     bmat.flags.writeable = False
-    return DynamicalMap(bmat)
+    factor = None
+    if len(weights) < dim * dim and (weights >= 0).all():
+        # Conjugating back is exact, so F holds the operators' own bits.
+        np.conjugate(stack, out=stack)
+        stack *= np.sqrt(weights)[:, None]
+        stack.flags.writeable = False
+        factor = stack.T
+    del stack
+    dmap = DynamicalMap(bmat)
+    object.__setattr__(dmap, "_factor", factor)
+    return dmap
 
 
 def state_matrix(rho, dim: int) -> np.ndarray:
@@ -285,15 +331,15 @@ def check_properties(dmap: DynamicalMap, tol: float = DEFAULT_TOL) -> MapPropert
     """Report Hermiticity preservation, trace preservation and complete positivity.
 
     Reports only, never raises on unphysical maps: non-CP and non-TP maps are
-    legitimate inputs elsewhere. ``min_eigenvalue`` is the smallest weight of
-    ``dmap.spectrum``, the number ``Instrument`` and the dilation builders gate.
+    legitimate inputs elsewhere. ``min_eigenvalue`` is ``dmap.min_eigenvalue``,
+    the number ``Instrument`` gates; the dilation builders gate the weights of
+    the same ``spectrum``.
     """
     n = dmap.dim
-    herm_defect = max_abs(dmap.bmat - dagger(dmap.bmat))
     trace_defect = max_abs(povm_effect(dmap) - np.eye(n))
-    min_eig = float(dmap.spectrum[0].min())
+    min_eig = dmap.min_eigenvalue
     return MapProperties(
-        hermiticity_preserving=herm_defect <= tol,
+        hermiticity_preserving=dmap.hermiticity_defect <= tol,
         trace_preserving=trace_defect <= tol,
         completely_positive=min_eig >= -tol,
         min_eigenvalue=min_eig,

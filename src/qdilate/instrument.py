@@ -60,8 +60,8 @@ class Instrument:
     computed once; the instrument is ``complete`` when no entry of it exceeds
     ``DEFAULT_TOL`` in magnitude, the bound at which its dilation's isometry
     counts as one, so a set is complete exactly when it dilates. An outcome is
-    CP when its ``spectrum``, the one the dilation reads, has no weight below
-    ``-DEFAULT_TOL``.
+    CP when the ``min_eigenvalue`` of its ``spectrum``, the one the dilation
+    reads, is not below ``-DEFAULT_TOL``.
     """
 
     dim: int
@@ -83,7 +83,7 @@ class Instrument:
                 raise DimensionMismatch(
                     f"outcome {label!r} has dim {dmap.dim}, instrument has dim {self.dim}"
                 )
-            min_eig = dmap.spectrum[0].min()
+            min_eig = dmap.min_eigenvalue
             if not min_eig >= -DEFAULT_TOL:
                 raise NotCompletelyPositive(
                     f"outcome {label!r} is not completely positive "

@@ -69,11 +69,8 @@ def _lex_key(col: np.ndarray):
 def hermitian_eig(h: np.ndarray):
     """Eigendecomposition of a Hermitian matrix with a deterministic ordering.
 
-    Eigenvalues come back sorted descending (``eigh``'s order, reversed). Each
-    eigenvector has its largest-magnitude component rotated to be real
-    positive, and columns of exactly equal eigenvalue are ordered
-    lexicographically (descending) by their components, so degenerate inputs
-    still decompose reproducibly; that pass runs only if there are such ties.
+    Eigenvalues come back sorted descending (``eigh``'s order, reversed), and
+    the eigenvectors follow :func:`_eigenbasis_conventions`.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvectors as orthonormal
     columns satisfying ``h = V diag(w) V^dagger``. A matrix off Hermitian by
@@ -87,8 +84,43 @@ def hermitian_eig(h: np.ndarray):
         raise NotHermitian(
             f"matrix deviates from Hermitian by {defect:.3e} (tol {DEFAULT_TOL:.1e})"
         )
+    return sorted_eigh(h)
+
+
+def sorted_eigh(h: np.ndarray):
+    """:func:`hermitian_eig` of a square complex matrix already known Hermitian.
+
+    Nothing is checked, so a caller that has measured the Hermiticity defect
+    does not pay for it twice.
+    """
     vals, vecs = np.linalg.eigh(h)
-    vals, vecs = vals[::-1], vecs[:, ::-1]
+    return _eigenbasis_conventions(vals[::-1], vecs[:, ::-1])
+
+
+def factor_eig(f: np.ndarray):
+    """Eigendecomposition of ``f f^dagger`` from the thin SVD of the D x r factor f.
+
+    Returns the r eigenpairs ``(s**2, u)`` of ``f = u diag(s) vh``, descending
+    and under :func:`_eigenbasis_conventions` as :func:`hermitian_eig` gives
+    them; the other D - r eigenvalues of ``f f^dagger`` are exactly 0. It
+    costs O(D r^2), where ``eigh`` of the D x D product costs O(D^3). The
+    r x r Gram matrix ``f^dagger f`` would be cheaper still, but its
+    eigenvectors lose orthogonality by about eps * s_max^2 / s^2 for nearly
+    dependent columns.
+    """
+    u, s, _ = np.linalg.svd(f, full_matrices=False)
+    return _eigenbasis_conventions(s * s, u)
+
+
+def _eigenbasis_conventions(vals: np.ndarray, vecs: np.ndarray):
+    """Fix the phases and tie order of descending eigenpairs, in place.
+
+    Each eigenvector has its largest-magnitude component rotated to be real
+    positive, and columns of exactly equal eigenvalue are ordered
+    lexicographically (descending) by their components, so degenerate inputs
+    still decompose reproducibly; that pass runs only if there are such ties.
+    Returns ``(vals, vecs)``.
+    """
     # Rotate each column so its largest-magnitude component is real positive.
     # np.hypot rounds as the scalar abs() of a complex number does, while
     # np.abs of a complex array can differ in the last bit, which would

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdilate as q
-from qdilate import channel
+from qdilate import channel, linalg
 
 from conftest import IDENTITY2, P0, P1, X
 
@@ -336,6 +336,23 @@ def test_dynamical_map_validation():
         q.DynamicalMap(np.eye(3))
 
 
+def test_the_hermiticity_defect_is_measured_once_per_map(monkeypatch):
+    # The validator measures it; check_properties and the eigh route of the
+    # spectrum read it back instead of forming B - B^dagger again.
+    bmat = q.random_cptp(3, 9, 31).bmat.copy()
+    bmat[0, 1] += 1e-12
+    sides = []
+    for module in (channel, linalg):
+        monkeypatch.setattr(module, "max_abs", lambda m: sides.append(np.shape(m)) or q.max_abs(m))
+    dmap = q.DynamicalMap(bmat)
+    props = q.check_properties(dmap)
+    q.canonical_decompose(dmap)
+    assert sides.count((9, 9)) == 1
+    assert dmap.hermiticity_defect == q.max_abs(bmat - q.dagger(bmat)) > 1e-13
+    assert props.hermiticity_preserving
+    assert not q.check_properties(dmap, tol=1e-13).hermiticity_preserving
+
+
 @pytest.fixture
 def without_finiteness_check(monkeypatch):
     """Let non-finite matrices reach the validators' own gates."""
@@ -380,16 +397,23 @@ def test_canonical_decomposition_names_the_overlapping_pair():
 
 
 def test_canonical_decompose_equals_the_eigenpair_loop():
-    # Reference: keep the eigenpairs above the truncation bound one by one.
+    # Reference: keep the spectrum's eigenpairs above the truncation bound one by one.
     cases = [q.random_cptp(dim, rank, 19_000 + dim) for dim, rank in [(1, 1), (3, 5), (5, 25)]]
-    for dmap in cases + [transpose_map(), depolarizing_map()]:
+    cases += [transpose_map(), depolarizing_map()]
+    for dmap in cases:
         n = dmap.dim
-        vals, vecs = q.hermitian_eig(dmap.bmat)
+        vals, vecs = dmap.spectrum
         scale = max(abs(vals))
         kept = [(w, v.reshape(n, n)) for w, v in zip(vals, vecs.T) if abs(w) > 1e-12 * scale]
         dec = q.canonical_decompose(dmap)
         assert np.array_equal(dec.weights, [w for w, _ in kept])
         assert np.array_equal(dec.ops, [op for _, op in kept])
+    # A map given by its dynamical matrix, or of full Kraus rank, is
+    # decomposed by hermitian_eig(bmat) itself.
+    for dmap in [q.DynamicalMap(dmap.bmat) for dmap in cases] + [cases[2], cases[4]]:
+        vals, vecs = q.hermitian_eig(dmap.bmat)
+        assert np.array_equal(dmap.spectrum[0], vals)
+        assert np.array_equal(dmap.spectrum[1], vecs)
 
 
 @pytest.mark.parametrize(
@@ -460,6 +484,84 @@ def test_decomposition_arrays_properties(case):
     else:
         with pytest.raises((q.NotTracePreserving, q.NotCompletelyPositive)):
             q.build_dilation_isometry(dec)
+
+
+@st.composite
+def factor_route_terms(draw):
+    """N in 2..6 and r in 1..N^2-1 non-negatively weighted Kraus operators, made TP.
+
+    Operator 0 is a random unitary of weight at least 0.1, so the total
+    effect E is invertible; every later one is Gaussian, a copy of an
+    earlier one, or an earlier one plus a Gaussian of size 1e-5..1e-14, and
+    some weights are exactly zero. All operators are then multiplied by
+    E^(-1/2), which makes the map trace-preserving.
+    """
+    dim = draw(st.integers(2, 6))
+    rank = draw(st.integers(1, dim * dim - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (dim, dim)
+    ops = [np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[0]]
+    weights = [rng.uniform(0.1, 1.0)]
+    for a in range(1, rank):
+        kind = draw(st.sampled_from(["gaussian", "copy", "near copy", "zero weight"]))
+        if kind in ("gaussian", "zero weight"):
+            ops.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        else:
+            ops.append(ops[rng.integers(a)].copy())
+            if kind == "near copy":
+                ops[-1] += 10.0 ** -draw(st.integers(5, 14)) * rng.standard_normal(shape)
+        weights.append(0.0 if kind == "zero weight" else rng.uniform(0.0, 1.0))
+    effect = sum(w * op.conj().T @ op for w, op in zip(weights, ops))
+    vals, vecs = np.linalg.eigh(effect)
+    inv_root = (vecs / np.sqrt(vals)) @ vecs.conj().T
+    return dim, [(w, op @ inv_root) for w, op in zip(weights, ops)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=factor_route_terms(), seed=st.integers(0, 2**32 - 1))
+def test_factor_route_spectrum_matches_the_eigh_of_b(case, seed):
+    dim, terms = case
+    rank = len(terms)
+    dmap = q.map_from_kraus(terms, dim)
+    vals, vecs = dmap.spectrum
+    assert vals.shape == (rank,) and vecs.shape == (dim * dim, rank)
+    # Rounding in B and in both eigensolvers, scaled by the spectral norm.
+    eps = np.finfo(float).eps
+    bound = 8 * eps * dim * dim * vals[0]
+    assert q.max_abs((vecs * vals) @ q.dagger(vecs) - dmap.bmat) <= bound
+    assert q.max_abs(q.dagger(vecs) @ vecs - np.eye(rank)) <= 8 * eps * dim * dim
+    ref = q.hermitian_eig(dmap.bmat)[0]
+    assert q.max_abs(ref[:rank] - vals) <= bound
+    assert q.max_abs(ref[rank:]) <= bound
+    assert dmap.min_eigenvalue == 0.0
+    assert q.check_properties(dmap).min_eigenvalue == 0.0
+    # Weights canonical_decompose drops (below TRUNCATION_TOL of the largest)
+    # are missing from the dilation too, by at most their sum.
+    dropped = vals[vals <= channel.TRUNCATION_TOL * vals[0]].sum()
+    dil = q.build_dilation_unitary(q.canonical_decompose(dmap))
+    rho = q.random_density(dim, seed)
+    reduced = q.simulate_via_dilation(dil, rho)[1]
+    assert q.max_abs(reduced - q.apply_map(dmap, rho)) <= 1e-12 + dropped
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=factor_route_terms(), seed=st.integers(0, 2**32 - 1))
+def test_a_negative_weight_keeps_the_eigh_route_and_is_refused(case, seed):
+    # The last operator becomes a fresh Gaussian of weight -0.5: outside the
+    # span of the others, it gives B a negative eigenvalue.
+    dim, terms = case
+    rng = np.random.default_rng(seed)
+    shape = (dim, dim)
+    terms[-1] = (-0.5, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    dmap = q.map_from_kraus(terms, dim)
+    vals, vecs = q.hermitian_eig(dmap.bmat)
+    assert np.array_equal(dmap.spectrum[0], vals)
+    assert np.array_equal(dmap.spectrum[1], vecs)
+    assert dmap.min_eigenvalue == vals[-1] < -q.DEFAULT_TOL
+    with pytest.raises(q.NotCompletelyPositive):
+        q.build_dilation_unitary(q.canonical_decompose(dmap))
+    with pytest.raises(q.NotCompletelyPositive):
+        q.build_instrument_dilation(q.Instrument(dim=dim, maps=(("0", dmap),)))
 
 
 def test_random_density_is_valid_and_deterministic():

@@ -37,7 +37,7 @@ def test_module_uses_every_name_it_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 
 
-EIGEN_SOLVERS = {"hermitian_eig", "min_eigenvalue"}
+EIGEN_SOLVERS = {"hermitian_eig", "sorted_eigh", "min_eigenvalue"}
 
 
 def _called_name(call: ast.Call) -> str:

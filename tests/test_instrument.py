@@ -303,11 +303,23 @@ def nan_eig(m):
     return np.full(len(m), np.nan), np.eye(len(m), dtype=complex)
 
 
-def test_instrument_cp_gate_refuses_nan(monkeypatch):
-    # The gate reads the outcome map's spectrum.
-    monkeypatch.setattr(channel, "hermitian_eig", nan_eig)
+def nan_factor_eig(f):
+    """A factor's r eigenpairs, with NaN eigenvalues."""
+    return np.full(f.shape[1], np.nan), np.eye(*f.shape, dtype=complex)
+
+
+@pytest.mark.parametrize("route", ["factor", "eigh"])
+def test_instrument_cp_gate_refuses_nan(monkeypatch, route):
+    # The gate reads the outcome map's spectrum, from either route; the
+    # rank-1 Kraus map of P0 takes the factor route, its bmat the eigh route.
+    dmap = q.map_from_kraus([(1.0, P0)], 2)
+    if route == "eigh":
+        dmap = q.DynamicalMap(dmap.bmat)
+    monkeypatch.setattr(channel, "factor_eig", nan_factor_eig)
+    monkeypatch.setattr(channel, "sorted_eigh", nan_eig)
+    assert np.isnan(dmap.min_eigenvalue)
     with pytest.raises(q.NotCompletelyPositive, match="outcome '0'"):
-        p0_instrument()
+        q.Instrument(dim=2, maps=(("0", dmap),))
 
 
 def test_pad_psd_gate_refuses_nan(monkeypatch):
@@ -497,27 +509,41 @@ def test_each_map_is_eigendecomposed_once(monkeypatch):
         (label, q.DynamicalMap(0.8 * dmap.bmat))
         for label, dmap in make_split_instrument(n, mu, 18_201).maps
     )
-    calls = {"eigh": [], "eigvalsh": []}
-    eigh, eigvalsh = np.linalg.eigh, np.linalg.eigvalsh
+    calls = {"eigh": [], "eigvalsh": [], "svd": []}
+    eigh, eigvalsh, svd = np.linalg.eigh, np.linalg.eigvalsh, np.linalg.svd
     monkeypatch.setattr(np.linalg, "eigh", lambda m: calls["eigh"].append(m.shape) or eigh(m))
     monkeypatch.setattr(
         np.linalg, "eigvalsh", lambda m: calls["eigvalsh"].append(m.shape) or eigvalsh(m)
     )
+    monkeypatch.setattr(
+        np.linalg, "svd", lambda m, **kw: calls["svd"].append(m.shape) or svd(m, **kw)
+    )
 
-    q.check_properties(channel_map)
-    dec = q.canonical_decompose(channel_map)
-    q.build_dilation_unitary(dec)
-    assert calls == {"eigh": [(n * n, n * n)], "eigvalsh": []}
-    vals, vecs = channel_map.spectrum
-    assert not vals.flags.writeable and not vecs.flags.writeable
-    assert not np.shares_memory(dec.weights, vals)
-    assert not np.shares_memory(dec.ops, vecs)
+    # Full Kraus rank: one eigh of B. Kraus rank 2: one thin SVD of its factor.
+    for dmap, expected in (
+        (channel_map, {"eigh": [(n * n, n * n)], "eigvalsh": [], "svd": []}),
+        (q.random_cptp(n, 2, 18_202), {"eigh": [], "eigvalsh": [], "svd": [(n * n, 2)]}),
+    ):
+        for log in calls.values():
+            log.clear()
+        q.check_properties(dmap)
+        dec = q.canonical_decompose(dmap)
+        q.build_dilation_unitary(dec)
+        assert calls == expected
+        vals, vecs = dmap.spectrum
+        assert not vals.flags.writeable and not vecs.flags.writeable
+        assert not np.shares_memory(dec.weights, vals)
+        assert not np.shares_memory(dec.ops, vecs)
 
-    calls["eigh"].clear()
+    for log in calls.values():
+        log.clear()
     padded = q.pad_to_complete(q.Instrument(dim=n, maps=maps))
     q.build_instrument_dilation(padded)
-    # One eigh per outcome map, the defect's square root, then the discard map.
-    assert calls == {"eigh": [(n * n, n * n)] * mu + [(n, n), (n * n, n * n)], "eigvalsh": []}
+    # One eigh per outcome map and the defect's square root; the rank-1
+    # discard map is one SVD.
+    assert calls == {
+        "eigh": [(n * n, n * n)] * mu + [(n, n)], "eigvalsh": [], "svd": [(n * n, 1)]
+    }
 
 
 def reference_counts(dil, rho, shots, seed):

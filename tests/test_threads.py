@@ -2,9 +2,11 @@
 
 Each run builds dilations in a fresh interpreter with the BLAS and OpenMP
 thread counts fixed before numpy loads, and prints hashes of everything it
-built; runs at 1 and 2 threads must print the same lines. So must the
-dynamical matrices ``map_from_kraus`` forms in one BLAS product, at N = 8, 12
-and 16 with full-rank signed Kraus sums. The sector readout
+built; runs at 1 and 2 threads must print the same lines. That includes
+rank-deficient Kraus maps, a channel and a split instrument at N = 5 and 8,
+which are decomposed by a thin SVD (LAPACK's zgesdd) rather than eigh. So
+must the dynamical matrices ``map_from_kraus`` forms in one BLAS product, at
+N = 8, 12 and 16 with full-rank signed Kraus sums. The sector readout
 at N = 12 and 16 reads an isometry and a state saved by a 1-thread process:
 building them (random_cptp's QR, canonical_decompose's eigh) changes bits
 with the thread count at N >= 12, and the readout must not add to that.
@@ -54,6 +56,15 @@ for n in (5, 8):
     outcomes = q.measure_via_dilation(q.build_instrument_dilation(q.pad_to_complete(half)), rho)
     print(n, [(o.label, o.probability.hex(), digest(o.raw_unnormalized.tobytes()),
                digest(o.post_state.mat.tobytes())) for o in outcomes])
+    low = q.canonical_decompose(q.random_cptp(n, n, 150 + n))
+    low_dil = q.build_dilation_unitary(low)
+    print(n, digest(low.weights.tobytes()), digest(low.ops.tobytes()),
+          digest(low_dil.u.tobytes()), digest(q.simulate_via_dilation(low_dil, rho)[1].tobytes()))
+    split = q.Instrument(dim=n, maps=tuple(
+        (str(i), q.map_from_kraus(zip(low.weights[i::2], low.ops[i::2]), n)) for i in range(2)))
+    outcomes = q.measure_via_dilation(q.build_instrument_dilation(split), rho)
+    print(n, [(o.label, o.probability.hex(), digest(o.raw_unnormalized.tobytes()))
+              for o in outcomes])
 for n in (8, 12, 16):
     rng = np.random.default_rng(500 + n)
     shape = (n * n, n, n)
@@ -107,5 +118,5 @@ def test_unitaries_and_reports_do_not_depend_on_blas_threads(tmp_path):
     run_probe(1, SAVE, [str(saved)])
     args = [str(saved), *argvs]
     one = run_probe(1, PROBE, args)
-    assert len(one.splitlines()) == 9 + len(argvs)
+    assert len(one.splitlines()) == 13 + len(argvs)
     assert one == run_probe(2, PROBE, args)
