@@ -9,8 +9,11 @@ when U is read. Since rho (x) |0><0| lives on the columns (r', 0) of U,
 evolution reads only V, and the completion columns, arbitrary by
 construction, never affect it. Map i is recovered by
 projecting the ancilla onto sector i and tracing it out, which is
-``sum_a V_a rho V_a^dagger`` over the sector's slots a: :func:`sector_states`
-is the one kernel that computes it. A channel is the one-sector case.
+``sum_a V_a rho V_a^dagger`` over the sector's slots a. One kernel computes
+it from X = V rho in O(N^3 nu): :func:`sector_states` runs it once per
+sector, and :func:`simulate_via_dilation` once over the whole ancilla, for
+the reduced state. A channel is the one-sector case. The D x D joint state
+``V rho V^dagger`` is formed only when an :class:`Evolution` is asked for it.
 """
 
 from __future__ import annotations
@@ -40,7 +43,6 @@ from .linalg import (
     complete_to_unitary,
     dagger,
     max_abs,
-    partial_trace_ancilla,
 )
 
 # Label of the single sector of a channel dilation.
@@ -217,26 +219,37 @@ def stack_isometry(parts) -> Dilation:
     return Dilation(sys_dim=n, anc_dim=nu, isometry=iso, sectors=sectors)
 
 
+def _traced_ranges(dil: Dilation, rho, ranges) -> tuple:
+    """``(X, states)``: the image X = V rho, and ``sum_a V_a rho V_a^dagger``
+    over each ancilla range [start, stop) of ``ranges`` as one (K, N, N) array.
+
+    X is one GEMM. Read as N x (anc_dim N) matrices, X and V hold a range's
+    slots in one column range, so each range is one more GEMM,
+    X_s V_s^dagger, in O(N^3 * range size).
+    """
+    n = dil.sys_dim
+    width = dil.anc_dim * n
+    image = dil.isometry @ state_matrix(rho, n)
+    x = image.reshape(n, width)
+    v_conj = dil.isometry.conj().reshape(n, width)
+    states = np.empty((len(ranges), n, n), dtype=complex)
+    for k, (start, stop) in enumerate(ranges):
+        cols = slice(start * n, stop * n)
+        np.matmul(x[:, cols], v_conj[:, cols].T, out=states[k])
+    return image, states
+
+
 def sector_states(dil: Dilation, rho) -> np.ndarray:
     """The sectors' system states ``sum_a V_a rho V_a^dagger`` as one (K, N, N) array.
 
     V_a[r, r'] = U[(r, a), (r', 0)] is the block of the isometry at ancilla
     slot a; the state of a sector is the joint state projected onto its slots
     with the ancilla traced out, and its trace is the sector's probability.
-    X = V rho is one GEMM. Read as N x (anc_dim N) matrices, X and V hold a
-    sector's slots in one column range, so each sector is one more GEMM,
-    X_s V_s^dagger, in O(N^3 * sector size); the D x D joint state is never
-    formed.
+    X = V rho is one GEMM, and each sector one more, X_s V_s^dagger, in
+    O(N^3 * sector size); the D x D joint state is never formed.
     """
-    n = dil.sys_dim
-    width = dil.anc_dim * n
-    x = (dil.isometry @ state_matrix(rho, n)).reshape(n, width)
-    v_conj = dil.isometry.conj().reshape(n, width)
-    states = np.empty((len(dil.sectors), n, n), dtype=complex)
-    for k, sector in enumerate(dil.sectors):
-        cols = slice(sector.start * n, sector.stop * n)
-        np.matmul(x[:, cols], v_conj[:, cols].T, out=states[k])
-    return states
+    ranges = [(sector.start, sector.stop) for sector in dil.sectors]
+    return _traced_ranges(dil, rho, ranges)[1]
 
 
 def build_dilation_isometry(dec: CanonicalDecomposition) -> np.ndarray:
@@ -255,17 +268,49 @@ def build_dilation_unitary(dec: CanonicalDecomposition) -> Dilation:
     return stack_isometry([(CHANNEL_SECTOR, dec)])
 
 
-def simulate_via_dilation(dil: Dilation, rho) -> tuple:
+class Evolution:
+    """The evolved state rho (x) |0><0| -> U (rho (x) |0><0|) U^dagger.
+
+    ``reduced`` is the N x N system state, computed on construction.
+    ``joint`` is the D x D state ``V rho V^dagger``, formed as X V^dagger
+    from the kept image X = V rho the first time it is read, so a later
+    change to the caller's rho does not reach it. Indexing and unpacking
+    behave as on the pair ``(joint, reduced)``: ``[1]`` and ``[-1]`` are the
+    reduced state and leave the joint unformed; ``[0]`` and unpacking form it.
+    """
+
+    def __init__(self, image: np.ndarray, isometry: np.ndarray, reduced: np.ndarray):
+        self._image = image
+        self._isometry = isometry
+        self.reduced = reduced
+
+    @cached_property
+    def joint(self) -> np.ndarray:
+        """The D x D joint state, formed on first read in O(D^2 N)."""
+        return self._image @ dagger(self._isometry)
+
+    def __getitem__(self, index):
+        return getattr(self, ("joint", "reduced")[index])
+
+    def __iter__(self):
+        return iter((self.joint, self.reduced))
+
+    def __len__(self) -> int:
+        return 2
+
+
+def simulate_via_dilation(dil: Dilation, rho) -> Evolution:
     """Evolve rho (x) |0><0| by the unitary and trace out the ancilla.
 
-    Returns ``(joint, reduced)``: the full post-evolution state and its
-    system reduction. The joint state ``U (rho (x) |0><0|) U^dagger`` is
-    computed as ``V rho V^dagger`` from the isometry columns V of U, in
-    O(D^2 N) rather than the O(D^3) of the full product.
+    Only the isometry columns V of U act on rho (x) |0><0|. X = V rho is one
+    GEMM, and the reduced state ``tr_anc(V rho V^dagger)`` is the
+    :func:`sector_states` kernel over one range spanning the whole ancilla,
+    X V^dagger with X and V read as N x (anc_dim N) matrices, in O(N^3 nu)
+    rather than the O((N nu)^2 N) of forming the joint state. The returned
+    :class:`Evolution` forms the joint state only when it is read.
     """
-    v = dil.isometry
-    joint = v @ state_matrix(rho, dil.sys_dim) @ dagger(v)
-    return joint, partial_trace_ancilla(joint, dil.anc_dim)
+    image, (reduced,) = _traced_ranges(dil, rho, [(0, dil.anc_dim)])
+    return Evolution(image, dil.isometry, reduced)
 
 
 @dataclass(frozen=True)

@@ -487,3 +487,87 @@ def test_building_and_reading_the_unitary_holds_under_three_copies():
 def test_verify_dilation_memory_does_not_grow_with_trials():
     dmap = q.random_cptp(2, 4, 69)
     assert traced_peak(lambda: q.verify_dilation(dmap, trials=2000, seed=70)) < 0.25 * 2**20
+
+
+def test_reduced_evolution_never_forms_the_joint_state():
+    n = 12
+    du = q.build_dilation_unitary(q.canonical_decompose(q.random_cptp(n, n * n, 71)))
+    rho = q.random_density(n, 72)
+    size = n * du.anc_dim
+    assert size == 1728
+    # The joint state alone takes 16 D^2 bytes; X = V rho and conj(V) take 32 D N.
+    joint_bytes = 16 * size**2
+    for read in (lambda: q.simulate_via_dilation(du, rho).reduced,
+                 lambda: q.simulate_via_dilation(du, rho)[1]):
+        assert traced_peak(read) < joint_bytes / 16
+
+
+def test_joint_state_is_formed_once_on_read():
+    dec = q.canonical_decompose(q.random_cptp(3, 7, 73))
+    du = q.build_dilation_unitary(dec)
+    rho = q.random_density(3, 74)
+    ev = q.simulate_via_dilation(du, rho)
+    assert isinstance(ev, q.Evolution) and len(ev) == 2
+    assert ev[1] is ev[-1] is ev.reduced
+    assert "joint" not in vars(ev)
+    joint = ev[0]
+    assert joint is ev.joint is ev[-2]
+    unpacked_joint, unpacked_reduced = ev
+    assert unpacked_joint is joint and unpacked_reduced is ev.reduced
+    v = du.isometry
+    assert np.array_equal(joint, v @ rho.mat @ q.dagger(v))
+    with pytest.raises(IndexError):
+        ev[2]
+
+
+def test_joint_state_ignores_later_writes_to_the_input_state():
+    du = q.build_dilation_unitary(q.canonical_decompose(q.random_cptp(3, 5, 75)))
+    rho = q.random_density(3, 76).mat.copy()
+    v = du.isometry
+    expected = v @ rho @ q.dagger(v)
+    ev = q.simulate_via_dilation(du, rho)
+    rho[:] = 0.0
+    assert np.array_equal(ev.joint, expected)
+
+
+def test_channel_reduced_state_is_its_one_sector_state():
+    for dim, rank in [(1, 1), (2, 3), (4, 16), (6, 20)]:
+        du = q.build_dilation_unitary(q.canonical_decompose(q.random_cptp(dim, rank, 77 + dim)))
+        rho = q.random_density(dim, 78 + dim)
+        assert np.array_equal(q.simulate_via_dilation(du, rho).reduced, sector_states(du, rho)[0])
+
+
+def test_padded_instrument_reduced_state_sums_its_outcomes():
+    inst = make_split_instrument(4, 3, 79, rank=16)
+    padded = q.pad_to_complete(q.Instrument(dim=4, maps=inst.maps[:2]))
+    dil = q.build_instrument_dilation(padded)
+    assert len(dil.sectors) == 3
+    rho = q.random_density(4, 80)
+    ev = q.simulate_via_dilation(dil, rho)
+    raws = sum(o.raw_unnormalized for o in q.measure_via_dilation(dil, rho))
+    assert q.max_abs(ev.reduced - raws) <= 1e-15
+    assert q.max_abs(ev.reduced - q.partial_trace_ancilla(ev.joint, dil.anc_dim)) <= 1e-12
+
+
+@st.composite
+def evolution_cases(draw):
+    dim = draw(st.integers(1, 6))
+    rank = draw(st.integers(1, dim * dim))
+    mu = draw(st.integers(1, min(3, rank)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return make_split_instrument(dim, mu, seed, rank=rank), seed
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=evolution_cases())
+def test_evolution_matches_the_summed_map_and_the_full_unitary(case):
+    inst, seed = case
+    if len(inst.maps) == 1:
+        dil = q.build_dilation_unitary(q.canonical_decompose(inst.maps[0][1]))
+    else:
+        dil = q.build_instrument_dilation(inst)
+    summed = q.DynamicalMap(sum(dmap.bmat for _, dmap in inst.maps))
+    rho = q.random_density(inst.dim, seed)
+    ev = q.simulate_via_dilation(dil, rho)
+    assert q.max_abs(ev.reduced - q.apply_map(summed, rho)) <= 1e-12
+    assert q.max_abs(ev[0] - joint_state_through(dil.u, rho, dil.anc_dim)) <= 1e-12

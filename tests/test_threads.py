@@ -9,7 +9,10 @@ must the dynamical matrices ``map_from_kraus`` forms in one BLAS product, at
 N = 8, 12 and 16 with full-rank signed Kraus sums. The sector readout
 at N = 12 and 16 reads an isometry and a state saved by a 1-thread process:
 building them (random_cptp's QR, canonical_decompose's eigh) changes bits
-with the thread count at N >= 12, and the readout must not add to that.
+with the thread count at N >= 12, and the readout must not add to that. So
+must the reduced state of ``simulate_via_dilation``, one GEMM over the whole
+ancilla, on that isometry as a one-sector dilation and on the split
+instruments at N = 5 and 8.
 """
 
 import os
@@ -62,9 +65,10 @@ for n in (5, 8):
           digest(low_dil.u.tobytes()), digest(q.simulate_via_dilation(low_dil, rho)[1].tobytes()))
     split = q.Instrument(dim=n, maps=tuple(
         (str(i), q.map_from_kraus(zip(low.weights[i::2], low.ops[i::2]), n)) for i in range(2)))
-    outcomes = q.measure_via_dilation(q.build_instrument_dilation(split), rho)
+    split_dil = q.build_instrument_dilation(split)
+    outcomes = q.measure_via_dilation(split_dil, rho)
     print(n, [(o.label, o.probability.hex(), digest(o.raw_unnormalized.tobytes()))
-              for o in outcomes])
+              for o in outcomes], digest(q.simulate_via_dilation(split_dil, rho).reduced.tobytes()))
 for n in (8, 12, 16):
     rng = np.random.default_rng(500 + n)
     shape = (n * n, n, n)
@@ -77,7 +81,9 @@ for n in (12, 16):
     cuts = [0, nu // 5, nu // 2, nu]
     sectors = [Sector(str(i), a, b) for i, (a, b) in enumerate(zip(cuts, cuts[1:]))]
     dil = q.Dilation(sys_dim=n, anc_dim=nu, isometry=iso, sectors=sectors)
-    print(n, digest(sector_states(dil, saved[f"rho{n}"]).tobytes()))
+    channel = q.Dilation(sys_dim=n, anc_dim=nu, isometry=iso, sectors=[Sector("channel", 0, nu)])
+    print(n, digest(sector_states(dil, saved[f"rho{n}"]).tobytes()),
+          digest(q.simulate_via_dilation(channel, saved[f"rho{n}"]).reduced.tobytes()))
 for argv in sys.argv[2:]:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
