@@ -11,6 +11,10 @@ weights are nonnegative.
 Weights and operators are kept separate (``w_a`` real, ``L_a`` normalized to
 unit Hilbert-Schmidt norm) so maps that are *not* completely positive stay
 representable with negative weights.
+
+:class:`DensityMatrix` is the library's one density-matrix gate. A readout
+passes its input state through it once, by :func:`gated_state`; the linear
+routes take any matrix through :func:`state_matrix`.
 """
 
 from __future__ import annotations
@@ -44,60 +48,47 @@ def _square_complex(m, name: str) -> np.ndarray:
     return m
 
 
-def _check_states(mats: np.ndarray, tols: np.ndarray) -> None:
-    """The density-matrix gate over a (K, N, N) stack, matrix k against tols[k].
+def _owned(m: np.ndarray, given) -> np.ndarray:
+    """``m``, converted from ``given``, as a read-only array no caller can write.
 
-    Each matrix must be Hermitian, of unit trace and positive semidefinite;
-    every comparison fails on NaN, and one ``eigvalsh`` call covers the
-    stack. The error raised is that of the first failing matrix for its first
-    failing property, as checking the matrices one by one would raise it.
+    A view, or the caller's own writeable array, is copied once; an array the
+    conversion made, or one handed over read-only, is adopted.
     """
-    herm = max_abs(mats - dagger(mats))
-    tr = mats.trace(axis1=1, axis2=2)
-    off = tr - 1.0
-    min_eig = min_eigenvalue(mats)
-    hermitian = herm <= tols
-    # np.hypot rounds as the scalar abs() of a complex number does.
-    unit_trace = np.hypot(off.real, off.imag) <= tols
-    passed = hermitian & unit_trace & (min_eig >= -tols)
-    if passed.all():
-        return
-    k = np.argmin(passed)
-    herm, min_eig, _ = np.broadcast_arrays(herm, min_eig, tols)
-    if not hermitian[k]:
-        raise ValidationError(f"density matrix must be Hermitian (deviation {herm[k]:.3e})")
-    if not unit_trace[k]:
-        raise ValidationError(f"density matrix must have unit trace (trace {tr[k]:.6g})")
-    raise ValidationError(
-        f"density matrix must be positive semidefinite (min eigenvalue {min_eig[k]:.3e})"
-    )
+    if m.base is not None or (m is given and m.flags.writeable):
+        m = m.copy()
+    m.flags.writeable = False
+    return m
 
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A valid quantum state: Hermitian, unit trace, positive semidefinite."""
+    """A valid quantum state: Hermitian, unit trace, positive semidefinite.
+
+    This is the library's one density-matrix gate: each property is checked
+    against ``DEFAULT_TOL``, and every comparison fails on NaN. ``mat`` is
+    read-only, copied once from a caller's writeable array or a view.
+    """
 
     mat: np.ndarray
 
     def __post_init__(self):
-        mat = _square_complex(self.mat, "density matrix")
+        mat = _owned(_square_complex(self.mat, "density matrix"), self.mat)
         object.__setattr__(self, "mat", mat)
-        _check_states(mat[None], np.array([DEFAULT_TOL]))
+        herm = max_abs(mat - dagger(mat))
+        if not herm <= DEFAULT_TOL:
+            raise ValidationError(f"density matrix must be Hermitian (deviation {herm:.3e})")
+        tr = mat.trace()
+        if not abs(tr - 1.0) <= DEFAULT_TOL:
+            raise ValidationError(f"density matrix must have unit trace (trace {tr:.6g})")
+        min_eig = min_eigenvalue(mat)
+        if not min_eig >= -DEFAULT_TOL:
+            raise ValidationError(
+                f"density matrix must be positive semidefinite (min eigenvalue {min_eig:.3e})"
+            )
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-
-def _density_matrices(mats: np.ndarray, tols: np.ndarray) -> list:
-    """One :class:`DensityMatrix` per matrix of a (K, N, N) stack, gated once.
-
-    The stack passes the finiteness check and :func:`_check_states` as a
-    whole, so no state is checked again on construction.
-    """
-    _require_finite(mats, "density matrix")
-    _check_states(mats, tols)
-    return [_checked(DensityMatrix, mat=mat) for mat in mats]
 
 
 def _checked(cls, **fields):
@@ -124,10 +115,7 @@ class DynamicalMap:
     _factor: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        bmat = _square_complex(self.bmat, "dynamical matrix")
-        if bmat.base is not None or (bmat is self.bmat and bmat.flags.writeable):
-            bmat = bmat.copy()
-        bmat.flags.writeable = False
+        bmat = _owned(_square_complex(self.bmat, "dynamical matrix"), self.bmat)
         object.__setattr__(self, "bmat", bmat)
         side = bmat.shape[0]
         dim = math.isqrt(side)
@@ -288,11 +276,22 @@ def map_from_kraus(terms, dim: int) -> DynamicalMap:
 
 
 def state_matrix(rho, dim: int) -> np.ndarray:
-    """A DensityMatrix or array-like state as a complex dim x dim matrix."""
+    """A DensityMatrix or array-like state as a complex dim x dim matrix, ungated."""
     mat = rho.mat if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     if mat.shape != (dim, dim):
         raise DimensionMismatch(f"state shape {mat.shape} does not match dim {dim}")
     return mat
+
+
+def gated_state(rho, dim: int) -> np.ndarray:
+    """The matrix of a DensityMatrix or array-like state, gated as a density matrix.
+
+    A :class:`DensityMatrix` has passed its gate and gives its own ``mat``;
+    any other state of shape (dim, dim) passes it here.
+    """
+    if not isinstance(rho, DensityMatrix):
+        rho = DensityMatrix(state_matrix(rho, dim))
+    return state_matrix(rho, dim)
 
 
 def apply_map(dmap: DynamicalMap, rho) -> np.ndarray:

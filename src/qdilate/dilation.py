@@ -26,6 +26,7 @@ import numpy as np
 from .channel import (
     CanonicalDecomposition,
     DynamicalMap,
+    _owned,
     apply_map,
     canonical_decompose,
     random_density,
@@ -69,7 +70,8 @@ class Dilation:
     ``isometry`` is the (sys_dim*anc_dim) x sys_dim block V whose column r' is
     the image of |r'>|0>. The sectors partition the ancilla in order, and
     anc_dim is at most len(sectors) * sys_dim^2. A channel dilation has a
-    single sector. Construction forms V^dagger V once, in O(D N^2); since a
+    single sector. V is read-only: a caller's writeable array or a view is
+    copied once. Construction forms V^dagger V once, in O(D N^2); since a
     stacked V has V^dagger V = sum_a w_a L_a^dagger L_a, a residual
     max|V^dagger V - I| above ``DEFAULT_TOL`` raises :class:`NotTracePreserving`,
     itself a :class:`NotIsometry`. Evolution and readout need only V; the
@@ -83,7 +85,7 @@ class Dilation:
     sectors: tuple
 
     def __post_init__(self):
-        iso = np.asarray(self.isometry, dtype=complex)
+        iso = _owned(np.asarray(self.isometry, dtype=complex), self.isometry)
         object.__setattr__(self, "isometry", iso)
         object.__setattr__(self, "sectors", tuple(self.sectors))
         if self.sys_dim < 1 or self.anc_dim < 1:
@@ -208,14 +210,16 @@ def stack_isometry(parts) -> Dilation:
         start = sectors[-1].stop if sectors else 0
         sectors.append(Sector(label=label, start=start, stop=start + dec.rank))
         blocks.append(_sqrt_weights(dec)[:, None, None] * dec.ops)
-    ops = np.concatenate(blocks)
-    nu = len(ops)
+    nu = sectors[-1].stop
     if not nu:
         raise NotTracePreserving(
             "the map is zero: sum of weighted L^dagger L is 0, not the identity"
         )
-    # Composite row r * nu + a holds row r of block a.
-    iso = ops.transpose(1, 0, 2).reshape(n * nu, n)
+    # Composite row r * nu + a holds row r of block a. The blocks are copied
+    # straight into a fresh V, handed over read-only, so Dilation adopts it.
+    iso = np.empty((n * nu, n), dtype=complex)
+    np.concatenate([b.transpose(1, 0, 2) for b in blocks], axis=1, out=iso.reshape(n, nu, n))
+    iso.flags.writeable = False
     return Dilation(sys_dim=n, anc_dim=nu, isometry=iso, sectors=sectors)
 
 

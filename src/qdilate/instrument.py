@@ -6,8 +6,10 @@ probability ``trace(map_i rho)`` and leaves the normalized state
 the identity) is realized on a single ancilla whose basis is laid out in
 sectors, one per outcome: the joint unitary sends ``|r'>|0>`` to
 ``sum sqrt(w) L[r, r'] |r>|sector slot>``, and a projective readout of the
-ancilla sector reproduces the statistics. Incomplete sets are completed by
-appending a discard map carrying the leftover effect.
+ancilla sector reproduces the statistics. Every readout gates its input
+state once, as a :class:`DensityMatrix`; the post states it returns are the
+raw states divided by their probabilities, not gated again. Incomplete sets
+are completed by appending a discard map carrying the leftover effect.
 """
 
 from __future__ import annotations
@@ -22,11 +24,10 @@ from .channel import (
     DensityMatrix,
     DynamicalMap,
     _checked,
-    _density_matrices,
     canonical_decompose,
+    gated_state,
     map_from_kraus,
     povm_effect,
-    state_matrix,
 )
 from .dilation import Dilation, sector_states, stack_isometry
 from .errors import (
@@ -134,20 +135,20 @@ class OutcomeResult:
             )
 
 
-def _probabilities(labels, raws: np.ndarray) -> tuple:
-    """``(clamped, stop, error)``: the traces of a (K, N, N) stack, clamped to [0, 1].
+def _probabilities(labels, raws: np.ndarray) -> np.ndarray:
+    """The traces of a (K, N, N) stack, clamped to [0, 1].
 
-    Outcome ``stop`` is the first whose trace lies outside [0, 1] by more than
-    ``DEFAULT_TOL`` (K if none), and ``error`` its ValidationError (or None).
+    The first outcome whose trace lies outside [0, 1] by more than
+    ``DEFAULT_TOL`` raises :class:`ValidationError`.
     """
     p = raws.trace(axis1=1, axis2=2).real
     (out_of_range,) = np.nonzero(~((p >= -DEFAULT_TOL) & (p <= 1.0 + DEFAULT_TOL)))
-    clamped = np.where(p < 0.0, 0.0, np.minimum(p, 1.0))
-    if not len(out_of_range):
-        return clamped, len(p), None
-    k = out_of_range[0]
-    message = f"outcome {labels[k]!r} has probability {float(p[k])} outside [0, 1]"
-    return clamped, k, ValidationError(message)
+    if len(out_of_range):
+        k = out_of_range[0]
+        raise ValidationError(
+            f"outcome {labels[k]!r} has probability {float(p[k])} outside [0, 1]"
+        )
+    return np.where(p < 0.0, 0.0, np.minimum(p, 1.0))
 
 
 def _make_outcomes(labels, raws: np.ndarray, threshold: float) -> tuple:
@@ -156,25 +157,21 @@ def _make_outcomes(labels, raws: np.ndarray, threshold: float) -> tuple:
     Outcome k has probability trace(raws[k]), range-checked and clamped by
     :func:`_probabilities`, so each result meets the :class:`OutcomeResult`
     checks by construction. Above ``threshold`` it gets the post state
-    raws[k] / p, and all post states pass one stacked density-matrix gate.
-    The error raised is the one checking the outcomes one by one would raise
-    first. A threshold that is negative or NaN raises.
+    raws[k] / p, one read-only matrix of a stack, not gated again: the
+    readouts gate their input state, and a CP map's image of a state,
+    divided by its trace, is a state up to rounding. A threshold that is
+    negative or NaN raises.
     """
     if not threshold >= 0.0:
         raise ValidationError(f"post-state threshold must be non-negative, got {threshold}")
-    clamped, stop, error = _probabilities(labels, raws)
-    (live,) = np.nonzero(clamped[:stop] > threshold)
-    # Dividing by a small probability amplifies additive noise; scale the
-    # validation tolerance accordingly.
-    checked = _density_matrices(
-        raws[live] / clamped[live, None, None], np.maximum(DEFAULT_TOL, 1e-13 / clamped[live])
-    )
-    if error is not None:
-        raise error
-    posts = dict(zip(live.tolist(), checked))
+    clamped = _probabilities(labels, raws)
+    (live,) = np.nonzero(clamped > threshold)
+    posts = raws[live] / clamped[live, None, None]
+    posts.flags.writeable = False
+    post_states = {k: _checked(DensityMatrix, mat=mat) for k, mat in zip(live.tolist(), posts)}
     return tuple(
         _checked(
-            OutcomeResult, label=label, probability=prob, post_state=posts.get(k),
+            OutcomeResult, label=label, probability=prob, post_state=post_states.get(k),
             raw_unnormalized=raw,
         )
         for k, (label, prob, raw) in enumerate(zip(labels, clamped.tolist(), raws))
@@ -239,13 +236,16 @@ def measure_via_dilation(
 ) -> tuple:
     """Evolve rho (x) |0><0| jointly, then project the ancilla sector by sector.
 
-    For each outcome the ancilla is projected onto its sector and traced out,
-    giving the weighted system state whose trace is the outcome probability.
-    Those states come from :func:`qdilate.dilation.sector_states`, which reads
-    the isometry of U and never forms the D x D joint state.
+    ``rho`` passes the density-matrix gate first, unless it is already a
+    :class:`DensityMatrix`. For each outcome the ancilla is projected onto
+    its sector and traced out, giving the weighted system state whose trace
+    is the outcome probability. Those states come from
+    :func:`qdilate.dilation.sector_states`, which reads the isometry of U and
+    never forms the D x D joint state.
     """
+    mat = gated_state(rho, dil.sys_dim)
     labels = [sector.label for sector in dil.sectors]
-    return _make_outcomes(labels, sector_states(dil, rho), threshold)
+    return _make_outcomes(labels, sector_states(dil, mat), threshold)
 
 
 def outcome_statistics(
@@ -253,9 +253,10 @@ def outcome_statistics(
 ) -> tuple:
     """Apply each outcome map directly; the reference for measure_via_dilation.
 
-    All K maps are applied as by :func:`apply_map`, in one stacked einsum.
+    ``rho`` is gated as in :func:`measure_via_dilation`, then all K maps are
+    applied as by :func:`apply_map`, in one stacked einsum.
     """
-    raws = np.einsum("krpsq,pq->krs", inst._bmats, state_matrix(rho, inst.dim))
+    raws = np.einsum("krpsq,pq->krs", inst._bmats, gated_state(rho, inst.dim))
     return _make_outcomes(inst.labels, raws, threshold)
 
 
@@ -264,8 +265,8 @@ def sample_outcomes(dil: Dilation, rho, shots: int, seed) -> dict:
 
     The histogram of ``shots`` independent readouts is Multinomial(shots, p),
     so the counts are drawn at once, in time and memory O(outcomes), for any
-    whole number of shots in [1, 2^63 - 1]. Only the sector states' traces are
-    read; a ``rho`` not yet a :class:`DensityMatrix` passes its gate first.
+    whole number of shots in [1, 2^63 - 1]. ``rho`` is gated as in
+    :func:`measure_via_dilation`, and only the sector states' traces are read.
     Counts sum to shots, are identical for identical seeds and include
     zero-count outcomes.
     """
@@ -275,12 +276,9 @@ def sample_outcomes(dil: Dilation, rho, shots: int, seed) -> dict:
         raise ValidationError(f"shots must be at least 1, got {shots}")
     if shots > np.iinfo(np.int64).max:
         raise ValidationError(f"shots must be at most 2^63 - 1, got {shots}")
-    if not isinstance(rho, DensityMatrix):
-        rho = DensityMatrix(state_matrix(rho, dil.sys_dim))
+    mat = gated_state(rho, dil.sys_dim)
     labels = [sector.label for sector in dil.sectors]
-    probs, _, error = _probabilities(labels, sector_states(dil, rho))
-    if error is not None:
-        raise error
+    probs = _probabilities(labels, sector_states(dil, mat))
     total = probs.sum()
     if total <= 0.0:
         raise ValidationError("all outcome probabilities vanish; nothing to sample")

@@ -18,14 +18,9 @@ from .errors import DimensionMismatch, NotHermitian, NotIsometry, NotPSD
 DEFAULT_TOL = 1e-10
 
 
-def max_abs(m):
-    """Largest entrywise absolute value (0 for an empty array).
-
-    For a (K, N, N) stack it is taken per matrix, as an array of K values.
-    """
+def max_abs(m) -> float:
+    """Largest entrywise absolute value (0 for an empty array)."""
     m = np.asarray(m)
-    if m.ndim == 3:
-        return np.abs(m).max(axis=(1, 2))
     return float(np.max(np.abs(m))) if m.size else 0.0
 
 
@@ -34,15 +29,10 @@ def dagger(m: np.ndarray) -> np.ndarray:
     return np.asarray(m).conj().swapaxes(-1, -2)
 
 
-def min_eigenvalue(m):
-    """Smallest eigenvalue of the Hermitian part ``(m + m^dagger) / 2``.
-
-    For a (K, N, N) stack it is an array of K values from one ``eigvalsh``
-    call, each bit-identical to the value for its matrix alone.
-    """
+def min_eigenvalue(m) -> float:
+    """Smallest eigenvalue of the Hermitian part ``(m + m^dagger) / 2``."""
     m = np.asarray(m)
-    low = np.linalg.eigvalsh((m + dagger(m)) / 2).min(axis=-1)
-    return low if m.ndim == 3 else float(low)
+    return float(np.linalg.eigvalsh((m + dagger(m)) / 2).min())
 
 
 def partial_trace_ancilla(m: np.ndarray, dim_anc: int) -> np.ndarray:

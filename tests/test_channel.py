@@ -329,6 +329,23 @@ def test_density_matrix_validation():
         q.DensityMatrix(np.zeros((2, 3)))
 
 
+def test_density_matrix_owns_a_read_only_matrix():
+    rho = np.diag([0.75, 0.25]).astype(complex)
+    dm = q.DensityMatrix(rho)
+    rho[:] = np.diag([1.0, 0.8])
+    assert np.array_equal(dm.mat, np.diag([0.75, 0.25]))
+    assert not dm.mat.flags.writeable
+    assert not np.shares_memory(dm.mat, rho)
+    # A view is copied too: its base could still be written.
+    big = np.zeros((3, 3), dtype=complex)
+    big[0, 0] = 1.0
+    assert not np.shares_memory(q.DensityMatrix(big[:2, :2]).mat, big)
+    # A converted or read-only array is adopted.
+    frozen = np.diag([0.5, 0.5]).astype(complex)
+    frozen.flags.writeable = False
+    assert q.DensityMatrix(frozen).mat is frozen
+
+
 def test_dynamical_map_validation():
     with pytest.raises(q.ValidationError):
         q.DynamicalMap(np.array([[0.0, 1.0], [0.0, 0.0]]).repeat(2, 0).repeat(2, 1))

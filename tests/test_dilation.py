@@ -220,7 +220,7 @@ def test_gemm_sector_states_equal_the_einsum_readout(dim, mu):
     assert states.shape == (mu + 1, dim, dim)
     assert not states[1].any()
     # Tolerance fixed from the dtype: a few eps, for states of unit trace.
-    assert q.max_abs(states - einsum_sector_states(dil, rho)).max() <= 16 * np.finfo(float).eps
+    assert q.max_abs(states - einsum_sector_states(dil, rho)) <= 16 * np.finfo(float).eps
 
 
 def joint_route_max_error(dmap, trials, seed):
@@ -404,6 +404,33 @@ def test_isometry_is_checked_once_per_build(monkeypatch):
     inst = make_split_instrument(3, 2, 69, rank=6)
     q.build_instrument_dilation(inst)
     assert calls == [(15, 3), (18, 3)]
+
+
+def test_dilation_owns_a_read_only_isometry():
+    dec = q.canonical_decompose(q.random_cptp(2, 3, 68))
+    iso = q.build_dilation_isometry(dec).copy()
+    dil = q.Dilation(sys_dim=2, anc_dim=3, isometry=iso, sectors=[q.Sector("channel", 0, 3)])
+    iso *= 3
+    assert not dil.isometry.flags.writeable
+    assert not np.shares_memory(dil.isometry, iso)
+    reduced = q.simulate_via_dilation(dil, np.eye(2) / 2).reduced
+    assert abs(np.trace(reduced) - 1.0) <= 1e-12
+
+
+def test_builds_hand_their_isometry_over_without_a_copy(monkeypatch):
+    adopted = []
+    owned = qdilate.dilation._owned
+
+    def recording(m, given):
+        out = owned(m, given)
+        adopted.append(out is m)
+        return out
+
+    monkeypatch.setattr(qdilate.dilation, "_owned", recording)
+    du = q.build_dilation_unitary(q.canonical_decompose(q.random_cptp(3, 5, 69)))
+    dil = q.build_instrument_dilation(make_split_instrument(3, 2, 70, rank=6))
+    assert adopted == [True, True]
+    assert not du.isometry.flags.writeable and not dil.isometry.flags.writeable
 
 
 def test_channel_dilation_is_one_sector_with_stored_residual():

@@ -331,16 +331,21 @@ def test_pad_psd_gate_refuses_nan(monkeypatch):
 
 
 def test_probability_range_gate_refuses_nan():
-    # No gate before it checks the state, so a NaN entry reaches the
-    # probability of every outcome on both routes.
+    # A NaN state never reaches it: every readout's input gate refuses it
+    # first. The range gate itself still refuses a NaN trace.
     inst = basis_instrument()
+    dil = q.build_instrument_dilation(inst)
     rho = np.diag([np.nan, 1.0])
     for readout in (
-        lambda: q.measure_via_dilation(q.build_instrument_dilation(inst), rho),
+        lambda: q.measure_via_dilation(dil, rho),
         lambda: q.outcome_statistics(inst, rho),
+        lambda: q.sample_outcomes(dil, rho, 100, 1),
     ):
-        with pytest.raises(q.ValidationError, match="outcome '0' has probability nan outside"):
+        with pytest.raises(q.ValidationError, match="^density matrix contains non-finite entries$"):
             readout()
+    raws = np.array([np.diag([np.nan, 1.0]), P1])
+    with pytest.raises(q.ValidationError, match="outcome '0' has probability nan outside"):
+        instrument._make_outcomes(("0", "1"), raws, q.POST_STATE_THRESHOLD)
 
 
 @pytest.mark.parametrize("threshold", [-1.0, -1e-300, float("nan")])
@@ -359,7 +364,14 @@ def test_readout_refuses_a_negative_or_nan_threshold(threshold):
 
 
 def reference_outcomes(labels, raws, threshold=q.POST_STATE_THRESHOLD):
-    """The outcome-by-outcome readout: one DensityMatrix per outcome."""
+    """The outcome-by-outcome readout, with a density-matrix check per post state.
+
+    Each post state raw / p is checked to be Hermitian, of unit trace and
+    positive semidefinite within max(DEFAULT_TOL, 1e-13 / p), the scale of
+    rounding noise divided by a small probability. The readouts gate only
+    their input, so equality with this reference shows every post state
+    they return passes that check.
+    """
     results = []
     for label, raw in zip(labels, raws):
         p = float(np.trace(raw).real)
@@ -369,7 +381,10 @@ def reference_outcomes(labels, raws, threshold=q.POST_STATE_THRESHOLD):
         post = None
         if p > threshold:
             mat = raw / p
-            channel._check_states(mat[None], np.array([max(q.DEFAULT_TOL, 1e-13 / p)]))
+            tol = max(q.DEFAULT_TOL, 1e-13 / p)
+            assert q.max_abs(mat - q.dagger(mat)) <= tol
+            assert abs(np.trace(mat) - 1.0) <= tol
+            assert np.linalg.eigvalsh((mat + q.dagger(mat)) / 2).min() >= -tol
             post = channel._checked(q.DensityMatrix, mat=mat)
         results.append(
             q.OutcomeResult(label=label, probability=p, post_state=post, raw_unnormalized=raw)
@@ -390,6 +405,7 @@ def assert_same_outcomes(got, expected):
         assert (a.post_state is None) == (b.post_state is None)
         if b.post_state is not None:
             assert np.array_equal(a.post_state.mat, b.post_state.mat)
+            assert not a.post_state.mat.flags.writeable
 
 
 @st.composite
@@ -420,85 +436,90 @@ def test_batched_readout_equals_the_outcome_by_outcome_loop(case):
         assert_same_outcomes(got, reference_outcomes(inst.labels, raws, threshold))
 
 
-@pytest.mark.parametrize("noise", [5e-14, 5e-13])
-def test_post_state_tolerance_scales_with_one_over_the_probability(noise):
-    # A 1e-6 outcome whose raw state carries additive non-Hermitian noise:
-    # divided by p it deviates by noise * 1e6, allowed up to 1e-13 / p = 1e-7.
-    rare = 1e-6 * q.random_density(3, 18_100).mat
-    rare[0, 1] += noise
-    raws = np.array([rare, q.random_density(3, 18_101).mat * (1 - 1e-6)])
-    labels = ("rare", "common")
-    try:
-        expected = reference_outcomes(labels, raws)
-    except q.ValidationError as exc:
-        assert noise > 1e-13
-        with pytest.raises(q.ValidationError, match=f"^{re.escape(str(exc))}$"):
-            instrument._make_outcomes(labels, raws, q.POST_STATE_THRESHOLD)
-    else:
-        assert noise < 1e-13
-        assert_same_outcomes(
-            instrument._make_outcomes(labels, raws, q.POST_STATE_THRESHOLD), expected
-        )
-
-
 def kraus_map(*ops):
     return q.map_from_kraus([(1.0, op) for op in ops], 2)
 
 
-# Outcome maps with total effect I: "keep" returns the state itself, whose
-# failure is that of the state; "ok" always leaves |0><0|.
-KEEP_HALF = kraus_map(IDENTITY2 / np.sqrt(2))
-KEEP_THIRD = kraus_map(IDENTITY2 / np.sqrt(3))
-RESET_THIRD = kraus_map(P0 / np.sqrt(3), np.array([[0.0, 1.0], [0.0, 0.0]]) / np.sqrt(3))
-FAILING_READOUTS = {
-    # keep fails Hermiticity; dephase (the diagonal) fails positivity.
-    "hermiticity_and_positivity": (
-        np.array([[1.2, 0.5], [0.0, -0.2]]),
-        [("ok", RESET_THIRD), ("keep", KEEP_THIRD),
-         ("dephase", kraus_map(P0 / np.sqrt(3), P1 / np.sqrt(3)))],
-    ),
-    # keep fails positivity; low has probability -0.25.
-    "positivity_and_range": (
-        np.diag([1.5, -0.5]),
-        [("ok", kraus_map(P0 / np.sqrt(2))), ("keep", KEEP_HALF),
-         ("low", kraus_map(P1 / np.sqrt(2)))],
-    ),
+# Outcome maps with total effect I, and the non-states every readout refuses.
+THREE_OUTCOMES = (
+    ("ok", kraus_map(P0 / np.sqrt(3), np.array([[0.0, 1.0], [0.0, 0.0]]) / np.sqrt(3))),
+    ("keep", kraus_map(IDENTITY2 / np.sqrt(3))),
+    ("dephase", kraus_map(P0 / np.sqrt(3), P1 / np.sqrt(3))),
+)
+NOT_STATES = {
+    "hermiticity": np.array([[0.5, 0.3], [0.0, 0.5]]),
+    "hermiticity_and_positivity": np.array([[1.2, 0.5], [0.0, -0.2]]),
+    "positivity_and_range": np.diag([1.5, -0.5]),
+}
+READOUTS = {
+    "measure": lambda inst, rho: q.measure_via_dilation(q.build_instrument_dilation(inst), rho),
+    "statistics": q.outcome_statistics,
+    "sample": lambda inst, rho: q.sample_outcomes(q.build_instrument_dilation(inst), rho, 100, 1),
 }
 
 
 @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
-@pytest.mark.parametrize("kind", sorted(FAILING_READOUTS))
-def test_batched_readout_raises_the_first_failing_outcomes_error(kind, order):
-    rho, maps = FAILING_READOUTS[kind]
-    inst = q.Instrument(dim=2, maps=tuple(maps[i] for i in order))
+@pytest.mark.parametrize("readout", sorted(READOUTS))
+@pytest.mark.parametrize("kind", sorted(NOT_STATES))
+def test_every_readout_refuses_an_input_that_is_not_a_state(kind, readout, order):
+    # The input gate is DensityMatrix's, so its error is the readout's, in
+    # any outcome order.
+    rho = NOT_STATES[kind]
+    with pytest.raises(q.ValidationError, match="^density matrix must") as expected:
+        q.DensityMatrix(rho)
+    inst = q.Instrument(dim=2, maps=tuple(THREE_OUTCOMES[i] for i in order))
+    with pytest.raises(q.ValidationError, match=f"^{re.escape(str(expected.value))}$"):
+        READOUTS[readout](inst, rho)
+
+
+@pytest.mark.parametrize("readout", sorted(READOUTS))
+def test_a_readout_refuses_a_trace_defect_its_outputs_hide(readout):
+    # Each post state of diag(1, 0.8) under the basis instrument is a valid
+    # projector, so only a gate on the input can see the trace of 1.8.
+    with pytest.raises(q.ValidationError, match=r"^density matrix must have unit trace \(trace 1\.8"):
+        READOUTS[readout](basis_instrument(), np.diag([1.0, 0.8]))
+
+
+def test_a_readout_accepts_every_state_the_gate_accepts():
+    # Off Hermitian by 5e-11, within DEFAULT_TOL. Outcome "w" has p = 0.005,
+    # and its post state carries that defect times about 5: no second gate
+    # at the tolerance of the input may refuse it.
+    rho = np.array([[0.99, 0.0], [5e-11, 0.01]])
+    a, b = 0.05025, 0.5
+    inst = q.Instrument(dim=2, maps=(
+        ("w", kraus_map(np.diag([a, b]))),
+        ("rest", kraus_map(np.diag([np.sqrt(1 - a * a), np.sqrt(1 - b * b)]))),
+    ))
     dil = q.build_instrument_dilation(inst)
-    for readout, raws in (
-        (lambda: q.measure_via_dilation(dil, rho), sector_states(dil, rho)),
-        (lambda: q.outcome_statistics(inst, rho), direct_raws(inst, rho)),
-    ):
-        with pytest.raises(q.ValidationError) as expected:
-            reference_outcomes(inst.labels, raws)
-        with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
-            readout()
+    via = q.measure_via_dilation(dil, rho)
+    direct = q.outcome_statistics(inst, rho)
+    for outcomes in (via, direct):
+        post = outcomes[0].post_state.mat
+        assert q.max_abs(post - q.dagger(post)) > q.DEFAULT_TOL
+    for x, y in zip(via, direct):
+        assert abs(x.probability - y.probability) <= 1e-12
+    counts = q.sample_outcomes(dil, rho, 1000, 7)
+    assert sum(counts.values()) == 1000
 
 
 def test_each_readout_makes_one_eigvalsh_call(monkeypatch):
+    # An array state costs one (N, N) call, the input gate's; a
+    # DensityMatrix has passed it and costs none.
     inst = make_split_instrument(4, 4, 18_000)
     dil = q.build_instrument_dilation(inst)
     rho = q.random_density(4, 18_001)
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
-    for readout, expected in (
-        (lambda: q.measure_via_dilation(dil, rho), [(4, 4, 4)]),
-        (lambda: q.outcome_statistics(inst, rho), [(4, 4, 4)]),
-        # Sampling builds no post states; it gates only an array input state.
-        (lambda: q.sample_outcomes(dil, rho.mat, 1000, 1), [(1, 4, 4)]),
-        (lambda: q.sample_outcomes(dil, rho, 1000, 1), []),
+    for readout in (
+        lambda state: q.measure_via_dilation(dil, state),
+        lambda state: q.outcome_statistics(inst, state),
+        lambda state: q.sample_outcomes(dil, state, 1000, 1),
     ):
-        calls.clear()
-        readout()
-        assert calls == expected
+        for state, expected in ((rho.mat, [(4, 4)]), (rho, [])):
+            calls.clear()
+            readout(state)
+            assert calls == expected
 
 
 def test_each_map_is_eigendecomposed_once(monkeypatch):
@@ -592,18 +613,6 @@ def test_outcome_statistics_equal_the_per_map_loop(dim, mu, seed):
     rho = q.random_density(dim, seed + 1)
     raws = np.stack([o.raw_unnormalized for o in q.outcome_statistics(inst, rho)])
     assert np.array_equal(raws, direct_raws(inst, rho))
-
-
-@pytest.mark.parametrize(
-    "rho",
-    [np.diag([1.0, 0.8]), np.array([[0.5, 0.3], [0.0, 0.5]])]
-    + [rho for rho, _ in FAILING_READOUTS.values()],
-    ids=["trace", "hermiticity", *sorted(FAILING_READOUTS)],
-)
-def test_sample_refuses_an_input_that_is_not_a_state(rho):
-    dil = q.build_instrument_dilation(basis_instrument())
-    with pytest.raises(q.ValidationError, match="density matrix must"):
-        q.sample_outcomes(dil, rho, 100, 1)
 
 
 @pytest.mark.parametrize("shots", [10.5, 10.0, True, np.float64(3.0), "10", None])
