@@ -48,13 +48,24 @@ def _square_complex(m, name: str) -> np.ndarray:
     return m
 
 
-def _owned(m: np.ndarray, given) -> np.ndarray:
-    """``m``, converted from ``given``, as a read-only array no caller can write.
+class _Unshared:
+    """A fresh array no caller holds; ``np.asarray`` unwraps it, uncopied."""
 
-    A view, or the caller's own writeable array, is copied once; an array the
-    conversion made, or one handed over read-only, is adopted.
+    def __init__(self, array: np.ndarray):
+        self.array = array
+
+    def __array__(self, dtype=None, copy=None):
+        return self.array
+
+
+def _owned(m: np.ndarray, given) -> np.ndarray:
+    """``m``, converted from ``given``, as a read-only array no caller holds.
+
+    The caller's own array is copied once, whatever its flags, since its
+    owner can make it writeable again; so is a view. An array the conversion
+    made, or one handed over as :class:`_Unshared`, is adopted.
     """
-    if m.base is not None or (m is given and m.flags.writeable):
+    if m is given or m.base is not None:
         m = m.copy()
     m.flags.writeable = False
     return m
@@ -66,7 +77,7 @@ class DensityMatrix:
 
     This is the library's one density-matrix gate: each property is checked
     against ``DEFAULT_TOL``, and every comparison fails on NaN. ``mat`` is
-    read-only, copied once from a caller's writeable array or a view.
+    read-only, copied once from a caller's array or a view.
     """
 
     mat: np.ndarray
@@ -105,7 +116,7 @@ class DynamicalMap:
     A matrix off Hermitian by more than ``DEFAULT_TOL`` raises
     :class:`ValidationError`, whether it was built or read from a file; the
     defect max|B - B^dagger| is kept as ``hermiticity_defect``. ``bmat`` is
-    read-only: a caller's writeable array or a view is copied once.
+    read-only: a caller's array or a view is copied once.
     :func:`map_from_kraus` may attach a factor F with B = F F^dagger (up to
     rounding), which ``spectrum`` then decomposes instead of B.
     """
@@ -241,7 +252,7 @@ def map_from_kraus(terms, dim: int) -> DynamicalMap:
     ``sum_a w_a vec(K_a) vec(K_a)^dagger`` with row-major ``vec``, formed as
     one BLAS product ``(M^T diag(w)) conj(M)`` of the r x dim^2 stack M of
     flattened operators: the same bits at any BLAS thread count, Hermitian to
-    rounding (not bitwise), and handed to :class:`DynamicalMap` read-only.
+    rounding (not bitwise), and handed to :class:`DynamicalMap` uncopied.
     With r < dim^2 terms and no negative weight, the map also keeps the
     dim^2 x r factor ``F = M^T diag(sqrt(w))``, so its ``spectrum`` is a thin
     SVD of F rather than an ``eigh`` of the dim^2 x dim^2 matrix.
@@ -261,7 +272,6 @@ def map_from_kraus(terms, dim: int) -> DynamicalMap:
     scaled = stack.T * weights
     bmat = scaled @ np.conjugate(stack, out=stack)
     del scaled
-    bmat.flags.writeable = False
     factor = None
     if len(weights) < dim * dim and (weights >= 0).all():
         # Conjugating back is exact, so F holds the operators' own bits.
@@ -270,7 +280,7 @@ def map_from_kraus(terms, dim: int) -> DynamicalMap:
         stack.flags.writeable = False
         factor = stack.T
     del stack
-    dmap = DynamicalMap(bmat)
+    dmap = DynamicalMap(_Unshared(bmat))
     object.__setattr__(dmap, "_factor", factor)
     return dmap
 

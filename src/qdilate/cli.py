@@ -82,16 +82,10 @@ def _seed_int(text: str) -> int:
 
 
 def _outcome_rows(outcomes) -> list:
-    rows = []
-    for o in outcomes:
-        rows.append(
-            {
-                "label": o.label,
-                "probability": o.probability,
-                "post_state": None if o.post_state is None else o.post_state.mat,
-            }
-        )
-    return rows
+    return [
+        {"label": o.label, "probability": o.probability, "post_state": o.post_state}
+        for o in outcomes
+    ]
 
 
 def _cmd_check(args, inputs, options):

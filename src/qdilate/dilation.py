@@ -27,6 +27,7 @@ from .channel import (
     CanonicalDecomposition,
     DynamicalMap,
     _owned,
+    _Unshared,
     apply_map,
     canonical_decompose,
     random_density,
@@ -70,8 +71,8 @@ class Dilation:
     ``isometry`` is the (sys_dim*anc_dim) x sys_dim block V whose column r' is
     the image of |r'>|0>. The sectors partition the ancilla in order, and
     anc_dim is at most len(sectors) * sys_dim^2. A channel dilation has a
-    single sector. V is read-only: a caller's writeable array or a view is
-    copied once. Construction forms V^dagger V once, in O(D N^2); since a
+    single sector. V is read-only: a caller's array or a view is copied
+    once. Construction forms V^dagger V once, in O(D N^2); since a
     stacked V has V^dagger V = sum_a w_a L_a^dagger L_a, a residual
     max|V^dagger V - I| above ``DEFAULT_TOL`` raises :class:`NotTracePreserving`,
     itself a :class:`NotIsometry`. Evolution and readout need only V; the
@@ -216,11 +217,10 @@ def stack_isometry(parts) -> Dilation:
             "the map is zero: sum of weighted L^dagger L is 0, not the identity"
         )
     # Composite row r * nu + a holds row r of block a. The blocks are copied
-    # straight into a fresh V, handed over read-only, so Dilation adopts it.
+    # straight into a fresh V, handed over unshared, so Dilation adopts it.
     iso = np.empty((n * nu, n), dtype=complex)
     np.concatenate([b.transpose(1, 0, 2) for b in blocks], axis=1, out=iso.reshape(n, nu, n))
-    iso.flags.writeable = False
-    return Dilation(sys_dim=n, anc_dim=nu, isometry=iso, sectors=sectors)
+    return Dilation(sys_dim=n, anc_dim=nu, isometry=_Unshared(iso), sectors=sectors)
 
 
 def _traced_ranges(dil: Dilation, rho, ranges) -> tuple:
@@ -262,7 +262,7 @@ def build_dilation_isometry(dec: CanonicalDecomposition) -> np.ndarray:
     Column r' is the image of |r'>|0>; it is the ``isometry`` of the checked
     :func:`build_dilation_unitary`. A map that is not trace-preserving raises
     :class:`NotTracePreserving`, one that is not completely positive
-    :class:`NotCompletelyPositive`.
+    :class:`NotCompletelyPositive`. The array is read-only: ``.copy()`` it to edit.
     """
     return build_dilation_unitary(dec).isometry
 

@@ -7,9 +7,10 @@ the identity) is realized on a single ancilla whose basis is laid out in
 sectors, one per outcome: the joint unitary sends ``|r'>|0>`` to
 ``sum sqrt(w) L[r, r'] |r>|sector slot>``, and a projective readout of the
 ancilla sector reproduces the statistics. Every readout gates its input
-state once, as a :class:`DensityMatrix`; the post states it returns are the
-raw states divided by their probabilities, not gated again. Incomplete sets
-are completed by appending a discard map carrying the leftover effect.
+state once, as a :class:`DensityMatrix`; its post states are the raw states
+divided by their probabilities, plain read-only arrays not gated again.
+Incomplete sets are completed by appending a discard map carrying the
+leftover effect.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from functools import cached_property
 import numpy as np
 
 from .channel import (
-    DensityMatrix,
     DynamicalMap,
     _checked,
     canonical_decompose,
@@ -115,11 +115,16 @@ class Instrument:
 
 @dataclass(frozen=True, eq=False)
 class OutcomeResult:
-    """One outcome: its probability, raw weighted state, and normalized post state."""
+    """One outcome: its probability, raw weighted state, and normalized post state.
+
+    A readout's ``post_state`` is raw / p, a read-only array (None at or below
+    its threshold) and not a :class:`DensityMatrix`, since a small p divides
+    the input's allowed defect by p; a readout gates it like any array.
+    """
 
     label: str
     probability: float
-    post_state: DensityMatrix
+    post_state: np.ndarray
     raw_unnormalized: np.ndarray
 
     def __post_init__(self):
@@ -157,10 +162,8 @@ def _make_outcomes(labels, raws: np.ndarray, threshold: float) -> tuple:
     Outcome k has probability trace(raws[k]), range-checked and clamped by
     :func:`_probabilities`, so each result meets the :class:`OutcomeResult`
     checks by construction. Above ``threshold`` it gets the post state
-    raws[k] / p, one read-only matrix of a stack, not gated again: the
-    readouts gate their input state, and a CP map's image of a state,
-    divided by its trace, is a state up to rounding. A threshold that is
-    negative or NaN raises.
+    raws[k] / p, one read-only matrix of a stack, not gated. A threshold
+    that is negative or NaN raises.
     """
     if not threshold >= 0.0:
         raise ValidationError(f"post-state threshold must be non-negative, got {threshold}")
@@ -168,7 +171,7 @@ def _make_outcomes(labels, raws: np.ndarray, threshold: float) -> tuple:
     (live,) = np.nonzero(clamped > threshold)
     posts = raws[live] / clamped[live, None, None]
     posts.flags.writeable = False
-    post_states = {k: _checked(DensityMatrix, mat=mat) for k, mat in zip(live.tolist(), posts)}
+    post_states = dict(zip(live.tolist(), posts))
     return tuple(
         _checked(
             OutcomeResult, label=label, probability=prob, post_state=post_states.get(k),

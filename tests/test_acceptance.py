@@ -122,7 +122,7 @@ def test_criterion_4_instrument_statistics_match_direct_route(instrument_corpus)
                 worst_p = max(worst_p, abs(a.probability - b.probability))
                 if a.probability > 1e-6:
                     worst_post = max(
-                        worst_post, q.max_abs(a.post_state.mat - b.post_state.mat)
+                        worst_post, q.max_abs(a.post_state - b.post_state)
                     )
     ok = worst_p <= 1e-9 and worst_post <= 1e-8 and worst_total <= 1e-9
     report_line(

@@ -135,15 +135,15 @@ def test_writing_into_the_callers_array_leaves_the_map_unchanged():
     assert not q.check_properties(q.DynamicalMap(b)).completely_positive
     with pytest.raises(ValueError, match="read-only"):
         dmap.bmat[0, 0] = 0.0
-    # A read-only view of a writeable array is copied too; a frozen array,
-    # such as map_from_kraus's result, is shared.
+    # A read-only view of a writeable array is copied too, and so is a
+    # read-only array: its owner can make it writeable again.
     base = np.eye(4, dtype=complex)
     view = base[:]
     view.flags.writeable = False
     held = q.DynamicalMap(view)
     base[0, 0] = 5.0
     assert held.bmat[0, 0] == 1.0
-    assert q.DynamicalMap(dmap.bmat).bmat is dmap.bmat
+    assert not np.shares_memory(q.DynamicalMap(dmap.bmat).bmat, dmap.bmat)
 
 
 def test_apply_map_identity_returns_state():
@@ -340,10 +340,13 @@ def test_density_matrix_owns_a_read_only_matrix():
     big = np.zeros((3, 3), dtype=complex)
     big[0, 0] = 1.0
     assert not np.shares_memory(q.DensityMatrix(big[:2, :2]).mat, big)
-    # A converted or read-only array is adopted.
+    # So is a read-only array, since its owner can make it writeable again.
     frozen = np.diag([0.5, 0.5]).astype(complex)
     frozen.flags.writeable = False
-    assert q.DensityMatrix(frozen).mat is frozen
+    dm = q.DensityMatrix(frozen)
+    frozen.flags.writeable = True
+    frozen[:] = np.diag([1.0, 0.8])
+    assert np.array_equal(dm.mat, np.diag([0.5, 0.5]))
 
 
 def test_dynamical_map_validation():

@@ -409,12 +409,18 @@ def test_isometry_is_checked_once_per_build(monkeypatch):
 def test_dilation_owns_a_read_only_isometry():
     dec = q.canonical_decompose(q.random_cptp(2, 3, 68))
     iso = q.build_dilation_isometry(dec).copy()
-    dil = q.Dilation(sys_dim=2, anc_dim=3, isometry=iso, sectors=[q.Sector("channel", 0, 3)])
+    sectors = [q.Sector("channel", 0, 3)]
+    dil = q.Dilation(sys_dim=2, anc_dim=3, isometry=iso, sectors=sectors)
     iso *= 3
     assert not dil.isometry.flags.writeable
     assert not np.shares_memory(dil.isometry, iso)
     reduced = q.simulate_via_dilation(dil, np.eye(2) / 2).reduced
     assert abs(np.trace(reduced) - 1.0) <= 1e-12
+    # A read-only array is copied too: its owner can make it writeable again.
+    iso /= 3
+    iso.flags.writeable = False
+    dil = q.Dilation(sys_dim=2, anc_dim=3, isometry=iso, sectors=sectors)
+    assert not np.shares_memory(dil.isometry, iso)
 
 
 def test_builds_hand_their_isometry_over_without_a_copy(monkeypatch):

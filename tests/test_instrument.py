@@ -149,7 +149,7 @@ def test_measure_basis_instrument_on_plus_state(plus_state):
     assert [o.label for o in outcomes] == ["0", "1"]
     for o, post in zip(outcomes, (P0, P1)):
         assert abs(o.probability - 0.5) < 1e-10
-        assert q.max_abs(o.post_state.mat - post) < 1e-10
+        assert q.max_abs(o.post_state - post) < 1e-10
     assert abs(sum(o.probability for o in outcomes) - 1.0) < 1e-9
 
 
@@ -160,7 +160,7 @@ def test_measure_padded_projection_on_excited_state(excited_state):
     assert outcomes[0].probability < 1e-10
     assert outcomes[0].post_state is None
     assert abs(outcomes[1].probability - 1.0) < 1e-10
-    assert q.max_abs(outcomes[1].post_state.mat - P1) < 1e-10
+    assert q.max_abs(outcomes[1].post_state - P1) < 1e-10
 
 
 def test_outcome_statistics_match_measurement_for_fixture(plus_state):
@@ -385,7 +385,7 @@ def reference_outcomes(labels, raws, threshold=q.POST_STATE_THRESHOLD):
             assert q.max_abs(mat - q.dagger(mat)) <= tol
             assert abs(np.trace(mat) - 1.0) <= tol
             assert np.linalg.eigvalsh((mat + q.dagger(mat)) / 2).min() >= -tol
-            post = channel._checked(q.DensityMatrix, mat=mat)
+            post = mat
         results.append(
             q.OutcomeResult(label=label, probability=p, post_state=post, raw_unnormalized=raw)
         )
@@ -404,8 +404,8 @@ def assert_same_outcomes(got, expected):
         assert np.array_equal(a.raw_unnormalized, b.raw_unnormalized)
         assert (a.post_state is None) == (b.post_state is None)
         if b.post_state is not None:
-            assert np.array_equal(a.post_state.mat, b.post_state.mat)
-            assert not a.post_state.mat.flags.writeable
+            assert np.array_equal(a.post_state, b.post_state)
+            assert not a.post_state.flags.writeable
 
 
 @st.composite
@@ -494,12 +494,33 @@ def test_a_readout_accepts_every_state_the_gate_accepts():
     via = q.measure_via_dilation(dil, rho)
     direct = q.outcome_statistics(inst, rho)
     for outcomes in (via, direct):
-        post = outcomes[0].post_state.mat
+        post = outcomes[0].post_state
         assert q.max_abs(post - q.dagger(post)) > q.DEFAULT_TOL
     for x, y in zip(via, direct):
         assert abs(x.probability - y.probability) <= 1e-12
     counts = q.sample_outcomes(dil, rho, 1000, 7)
     assert sum(counts.values()) == 1000
+
+
+def test_a_post_state_is_gated_when_it_is_read_out_again():
+    # rho is a state within DEFAULT_TOL, but outcome "w" has p = 1e-11, so
+    # its post state, about diag(6, -5), carries the input's -5e-11 divided
+    # by p. It comes back as a plain read-only array, not a DensityMatrix,
+    # and a readout given it refuses it.
+    rho = np.diag([1.0 + 5e-11, -5e-11])
+    q.DensityMatrix(rho)
+    inst = q.Instrument(dim=2, maps=(
+        ("w", kraus_map(np.diag([np.sqrt(6e-11), 1.0]))),
+        ("rest", kraus_map(np.diag([np.sqrt(1 - 6e-11), 0.0]))),
+    ))
+    dil = q.build_instrument_dilation(inst)
+    for outcomes in (q.measure_via_dilation(dil, rho), q.outcome_statistics(inst, rho)):
+        post = outcomes[0].post_state
+        assert type(post) is np.ndarray and not post.flags.writeable
+        assert np.linalg.eigvalsh(post).min() < -4.0
+        for readout in READOUTS.values():
+            with pytest.raises(q.ValidationError, match="^density matrix must be positive semidefinite"):
+                readout(inst, post)
 
 
 def test_each_readout_makes_one_eigvalsh_call(monkeypatch):
@@ -632,6 +653,7 @@ def test_sample_accepts_numpy_integer_shots(plus_state):
 
 def test_prechecked_results_stay_frozen(plus_state):
     (outcome, _) = q.measure_via_dilation(q.build_instrument_dilation(basis_instrument()), plus_state)
-    for obj, name in ((outcome, "probability"), (outcome.post_state, "mat")):
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(obj, name, None)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        outcome.probability = None
+    with pytest.raises(ValueError, match="read-only"):
+        outcome.post_state[0, 0] = 0.0

@@ -58,7 +58,7 @@ for n in (5, 8):
     half = q.Instrument(dim=n, maps=(("half", q.DynamicalMap(dmap.bmat / 2)),))
     outcomes = q.measure_via_dilation(q.build_instrument_dilation(q.pad_to_complete(half)), rho)
     print(n, [(o.label, o.probability.hex(), digest(o.raw_unnormalized.tobytes()),
-               digest(o.post_state.mat.tobytes())) for o in outcomes])
+               digest(o.post_state.tobytes())) for o in outcomes])
     low = q.canonical_decompose(q.random_cptp(n, n, 150 + n))
     low_dil = q.build_dilation_unitary(low)
     print(n, digest(low.weights.tobytes()), digest(low.ops.tobytes()),
