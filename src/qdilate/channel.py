@@ -40,11 +40,10 @@ def _require_finite(m: np.ndarray, name: str) -> None:
         raise ValidationError(f"{name} contains non-finite entries")
 
 
-def _square_complex(m, name: str) -> np.ndarray:
+def _square(m, name: str) -> np.ndarray:
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {m.shape}")
-    _require_finite(m, name)
     return m
 
 
@@ -67,6 +66,11 @@ def _owned(m: np.ndarray, given) -> np.ndarray:
     """
     if m is given or m.base is not None:
         m = m.copy()
+    return _read_only(m)
+
+
+def _read_only(m: np.ndarray) -> np.ndarray:
+    """``m``, its writeable flag cleared."""
     m.flags.writeable = False
     return m
 
@@ -75,18 +79,22 @@ def _owned(m: np.ndarray, given) -> np.ndarray:
 class DensityMatrix:
     """A valid quantum state: Hermitian, unit trace, positive semidefinite.
 
-    This is the library's one density-matrix gate: each property is checked
-    against ``DEFAULT_TOL``, and every comparison fails on NaN. ``mat`` is
-    read-only, copied once from a caller's array or a view.
+    This is the library's one density-matrix gate. It checks the shape, then
+    max|m - m^dagger| (a NaN or inf entry fails it, and only then is refused as
+    non-finite), the trace and the Hermitian part's smallest eigenvalue, against
+    ``DEFAULT_TOL``; every comparison fails on NaN. ``mat`` is read-only,
+    copied once from a caller's array or a view.
     """
 
     mat: np.ndarray
 
     def __post_init__(self):
-        mat = _owned(_square_complex(self.mat, "density matrix"), self.mat)
+        mat = _owned(_square(self.mat, "density matrix"), self.mat)
         object.__setattr__(self, "mat", mat)
-        herm = max_abs(mat - dagger(mat))
+        with np.errstate(invalid="ignore"):  # inf - inf: a quiet NaN
+            herm = max_abs(mat - dagger(mat))
         if not herm <= DEFAULT_TOL:
+            _require_finite(mat, "density matrix")
             raise ValidationError(f"density matrix must be Hermitian (deviation {herm:.3e})")
         tr = mat.trace()
         if not abs(tr - 1.0) <= DEFAULT_TOL:
@@ -126,7 +134,8 @@ class DynamicalMap:
     _factor: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        bmat = _owned(_square_complex(self.bmat, "dynamical matrix"), self.bmat)
+        bmat = _owned(_square(self.bmat, "dynamical matrix"), self.bmat)
+        _require_finite(bmat, "dynamical matrix")
         object.__setattr__(self, "bmat", bmat)
         side = bmat.shape[0]
         dim = math.isqrt(side)
@@ -299,9 +308,9 @@ def gated_state(rho, dim: int) -> np.ndarray:
     A :class:`DensityMatrix` has passed its gate and gives its own ``mat``;
     any other state of shape (dim, dim) passes it here.
     """
-    if not isinstance(rho, DensityMatrix):
-        rho = DensityMatrix(state_matrix(rho, dim))
-    return state_matrix(rho, dim)
+    if isinstance(rho, DensityMatrix):
+        return state_matrix(rho, dim)
+    return DensityMatrix(state_matrix(rho, dim)).mat
 
 
 def apply_map(dmap: DynamicalMap, rho) -> np.ndarray:

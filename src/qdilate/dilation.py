@@ -27,6 +27,7 @@ from .channel import (
     CanonicalDecomposition,
     DynamicalMap,
     _owned,
+    _read_only,
     _Unshared,
     apply_map,
     canonical_decompose,
@@ -144,6 +145,11 @@ class Dilation:
         object.__setattr__(self, "_residual", residual)
         return u
 
+    @cached_property
+    def _conj_wide(self) -> np.ndarray:
+        """conj(V) read as an N x (anc_dim N) matrix, formed once, read-only."""
+        return _read_only(self.isometry.conj().reshape(self.sys_dim, -1))
+
     @property
     def unitarity_residual(self) -> float:
         """max|U^dagger U - I| of the completed unitary; reads ``u`` first."""
@@ -235,7 +241,7 @@ def _traced_ranges(dil: Dilation, rho, ranges) -> tuple:
     width = dil.anc_dim * n
     image = dil.isometry @ state_matrix(rho, n)
     x = image.reshape(n, width)
-    v_conj = dil.isometry.conj().reshape(n, width)
+    v_conj = dil._conj_wide
     states = np.empty((len(ranges), n, n), dtype=complex)
     for k, (start, stop) in enumerate(ranges):
         cols = slice(start * n, stop * n)

@@ -24,6 +24,7 @@ import numpy as np
 from .channel import (
     DynamicalMap,
     _checked,
+    _read_only,
     canonical_decompose,
     gated_state,
     map_from_kraus,
@@ -42,6 +43,8 @@ from .linalg import DEFAULT_TOL, dagger, max_abs, psd_sqrt
 
 # Outcomes with probability at or below this get no normalized post state.
 POST_STATE_THRESHOLD = 1e-12
+
+_MAX_SHOTS = int(np.iinfo(np.int64).max)  # a multinomial draw counts in int64
 
 
 def _normalized_maps(maps) -> tuple:
@@ -147,13 +150,16 @@ def _probabilities(labels, raws: np.ndarray) -> np.ndarray:
     ``DEFAULT_TOL`` raises :class:`ValidationError`.
     """
     p = raws.trace(axis1=1, axis2=2).real
-    (out_of_range,) = np.nonzero(~((p >= -DEFAULT_TOL) & (p <= 1.0 + DEFAULT_TOL)))
-    if len(out_of_range):
+    low, high = p.min(), p.max()
+    if not (low >= -DEFAULT_TOL and high <= 1.0 + DEFAULT_TOL):
+        (out_of_range,) = np.nonzero(~((p >= -DEFAULT_TOL) & (p <= 1.0 + DEFAULT_TOL)))
         k = out_of_range[0]
         raise ValidationError(
             f"outcome {labels[k]!r} has probability {float(p[k])} outside [0, 1]"
         )
-    return np.where(p < 0.0, 0.0, np.minimum(p, 1.0))
+    if low < 0.0 or high > 1.0:
+        p = np.where(p < 0.0, 0.0, np.minimum(p, 1.0))
+    return p
 
 
 def _make_outcomes(labels, raws: np.ndarray, threshold: float) -> tuple:
@@ -162,22 +168,17 @@ def _make_outcomes(labels, raws: np.ndarray, threshold: float) -> tuple:
     Outcome k has probability trace(raws[k]), range-checked and clamped by
     :func:`_probabilities`, so each result meets the :class:`OutcomeResult`
     checks by construction. Above ``threshold`` it gets the post state
-    raws[k] / p, one read-only matrix of a stack, not gated. A threshold
-    that is negative or NaN raises.
+    raws[k] / p, a read-only matrix, not gated. A threshold that is
+    negative or NaN raises.
     """
     if not threshold >= 0.0:
         raise ValidationError(f"post-state threshold must be non-negative, got {threshold}")
-    clamped = _probabilities(labels, raws)
-    (live,) = np.nonzero(clamped > threshold)
-    posts = raws[live] / clamped[live, None, None]
-    posts.flags.writeable = False
-    post_states = dict(zip(live.tolist(), posts))
     return tuple(
         _checked(
-            OutcomeResult, label=label, probability=prob, post_state=post_states.get(k),
-            raw_unnormalized=raw,
+            OutcomeResult, label=label, probability=prob, raw_unnormalized=raw,
+            post_state=_read_only(raw / prob) if prob > threshold else None,
         )
-        for k, (label, prob, raw) in enumerate(zip(labels, clamped.tolist(), raws))
+        for label, prob, raw in zip(labels, _probabilities(labels, raws).tolist(), raws)
     )
 
 
@@ -277,7 +278,7 @@ def sample_outcomes(dil: Dilation, rho, shots: int, seed) -> dict:
         raise ValidationError(f"shots must be a whole number, got {shots!r}")
     if shots < 1:
         raise ValidationError(f"shots must be at least 1, got {shots}")
-    if shots > np.iinfo(np.int64).max:
+    if shots > _MAX_SHOTS:
         raise ValidationError(f"shots must be at most 2^63 - 1, got {shots}")
     mat = gated_state(rho, dil.sys_dim)
     labels = [sector.label for sector in dil.sectors]

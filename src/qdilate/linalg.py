@@ -21,7 +21,7 @@ DEFAULT_TOL = 1e-10
 def max_abs(m) -> float:
     """Largest entrywise absolute value (0 for an empty array)."""
     m = np.asarray(m)
-    return float(np.max(np.abs(m))) if m.size else 0.0
+    return float(np.abs(m).max()) if m.size else 0.0
 
 
 def dagger(m: np.ndarray) -> np.ndarray:

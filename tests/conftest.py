@@ -4,8 +4,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import qdilate as q
+
+# A larger example budget for the properties that pin none of their own, run
+# as `pytest --hypothesis-profile=ci`; the default profile keeps 100.
+settings.register_profile("ci", max_examples=2000)
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
