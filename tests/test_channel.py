@@ -44,6 +44,25 @@ def test_map_from_kraus_identity_is_rank_one_with_eigenvalue_two():
     assert q.max_abs(dmap.bmat - np.outer(vec, vec.conj())) < 1e-12
 
 
+def test_a_rank_one_spectrum_is_its_column_and_squared_norm():
+    # One column needs no SVD: the weight is f^dagger f, not a rounded
+    # singular value squared, so vec(I) gets exactly 2.
+    dmap = q.map_from_kraus([(1.0, IDENTITY2)], 2)
+    vals, vecs = dmap.spectrum
+    assert vals.tolist() == [2.0]
+    assert vecs[:, 0].tolist() == list(IDENTITY2.reshape(-1) / np.sqrt(2.0))
+    dec = q.canonical_decompose(dmap)
+    rebuilt = q.map_from_kraus(zip(dec.weights, dec.ops), 2)
+    assert q.max_abs(rebuilt.bmat - dmap.bmat) <= np.finfo(float).eps
+
+
+@pytest.mark.parametrize("weight, op", [(0.0, X), (1.0, np.zeros((2, 2)))])
+def test_a_zero_rank_one_factor_keeps_the_svd_route(weight, op):
+    vals, vecs = q.map_from_kraus([(weight, op)], 2).spectrum
+    assert vals.tolist() == [0.0]
+    assert np.linalg.norm(vecs[:, 0]) == pytest.approx(1.0)
+
+
 def test_map_from_kraus_zero_weight_contributes_nothing():
     dmap = q.map_from_kraus([(0.0, X)], 2)
     assert q.max_abs(dmap.bmat) == 0.0

@@ -582,10 +582,8 @@ def test_each_map_is_eigendecomposed_once(monkeypatch):
     padded = q.pad_to_complete(q.Instrument(dim=n, maps=maps))
     q.build_instrument_dilation(padded)
     # One eigh per outcome map and the defect's square root; the rank-1
-    # discard map is one SVD.
-    assert calls == {
-        "eigh": [(n * n, n * n)] * mu + [(n, n)], "eigvalsh": [], "svd": [(n * n, 1)]
-    }
+    # discard map needs no decomposition call: its one column is its vector.
+    assert calls == {"eigh": [(n * n, n * n)] * mu + [(n, n)], "eigvalsh": [], "svd": []}
 
 
 def reference_counts(dil, rho, shots, seed):
