@@ -70,7 +70,6 @@ def _owned(m: np.ndarray, given) -> np.ndarray:
 
 
 def _read_only(m: np.ndarray) -> np.ndarray:
-    """``m``, its writeable flag cleared."""
     m.flags.writeable = False
     return m
 

@@ -152,8 +152,7 @@ def _probabilities(labels, raws: np.ndarray) -> np.ndarray:
     p = raws.trace(axis1=1, axis2=2).real
     low, high = p.min(), p.max()
     if not (low >= -DEFAULT_TOL and high <= 1.0 + DEFAULT_TOL):
-        (out_of_range,) = np.nonzero(~((p >= -DEFAULT_TOL) & (p <= 1.0 + DEFAULT_TOL)))
-        k = out_of_range[0]
+        k = np.flatnonzero(~((p >= -DEFAULT_TOL) & (p <= 1.0 + DEFAULT_TOL)))[0]
         raise ValidationError(
             f"outcome {labels[k]!r} has probability {float(p[k])} outside [0, 1]"
         )

@@ -92,8 +92,8 @@ def factor_eig(f: np.ndarray):
 
     Returns the r eigenpairs ``(s**2, u)`` of ``f = u diag(s) vh``, descending
     and under :func:`_eigenbasis_conventions` as :func:`hermitian_eig` gives
-    them; the other D - r eigenvalues of ``f f^dagger`` are exactly 0. A
-    nonzero single column f has the pair ``(f^dagger f, f / |f|)``, no SVD. It
+    them; the other D - r eigenvalues of ``f f^dagger`` are exactly 0. One
+    nonzero column f gives ``(f^dagger f, f / |f|)``, with no s**2 to round. It
     costs O(D r^2), where ``eigh`` of the D x D product costs O(D^3). The
     r x r Gram matrix ``f^dagger f`` would be cheaper still, but its
     eigenvectors lose orthogonality by about eps * s_max^2 / s^2 for nearly
