@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 import qdilate as q
 
@@ -69,6 +70,27 @@ def make_projective_instrument(dim: int, mu: int, seed) -> q.Instrument:
         proj = sum(np.outer(c, c.conj()) for c in cols)
         maps.append((f"o{i}", q.map_from_kraus([(1.0, proj)], dim)))
     return q.Instrument(dim=dim, maps=tuple(maps))
+
+
+@st.composite
+def sampling_cases(draw):
+    """A split, projective or padded instrument (N 1..6, 1..4 outcomes) and a state."""
+    kind = draw(st.sampled_from(["split", "projective", "padded"]))
+    dim = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if kind == "projective":
+        inst = make_projective_instrument(dim, draw(st.integers(1, min(4, dim))), seed)
+    else:
+        rank = draw(st.integers(1, dim * dim))
+        mu = draw(st.integers(1, min(4 if kind == "split" else 3, rank)))
+        inst = make_split_instrument(dim, mu, seed, rank=rank)
+        if kind == "padded":
+            scale = draw(st.floats(0.05, 0.95))
+            inst = q.pad_to_complete(q.Instrument(
+                dim=dim, maps=tuple((label, q.DynamicalMap(scale * dmap.bmat))
+                                    for label, dmap in inst.maps)))
+    rho = q.random_density(dim, seed + 1)
+    return inst, rho if draw(st.booleans()) else rho.mat
 
 
 def another_completion(dil: q.Dilation, seed) -> np.ndarray:

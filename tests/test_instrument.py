@@ -22,6 +22,7 @@ from conftest import (
     joint_state_through,
     make_projective_instrument,
     make_split_instrument,
+    sampling_cases,
 )
 
 
@@ -592,27 +593,6 @@ def reference_counts(dil, rho, shots, seed):
     p = np.array([o.probability for o in outcomes])
     counts = np.random.default_rng(seed).multinomial(shots, p / p.sum())
     return {o.label: int(c) for o, c in zip(outcomes, counts)}
-
-
-@st.composite
-def sampling_cases(draw):
-    """A split, projective or padded instrument (N 1..6, 1..4 outcomes) and a state."""
-    kind = draw(st.sampled_from(["split", "projective", "padded"]))
-    dim = draw(st.integers(1, 6))
-    seed = draw(st.integers(0, 2**32 - 1))
-    if kind == "projective":
-        inst = make_projective_instrument(dim, draw(st.integers(1, min(4, dim))), seed)
-    else:
-        rank = draw(st.integers(1, dim * dim))
-        mu = draw(st.integers(1, min(4 if kind == "split" else 3, rank)))
-        inst = make_split_instrument(dim, mu, seed, rank=rank)
-        if kind == "padded":
-            scale = draw(st.floats(0.05, 0.95))
-            inst = q.pad_to_complete(q.Instrument(
-                dim=dim, maps=tuple((label, q.DynamicalMap(scale * dmap.bmat))
-                                    for label, dmap in inst.maps)))
-    rho = q.random_density(dim, seed + 1)
-    return inst, rho if draw(st.booleans()) else rho.mat
 
 
 @settings(max_examples=80, deadline=None)

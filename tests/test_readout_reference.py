@@ -23,7 +23,7 @@ from qdilate.errors import ValidationError
 from qdilate.instrument import OutcomeResult
 from qdilate.linalg import DEFAULT_TOL
 
-from conftest import make_projective_instrument, make_split_instrument
+from conftest import make_projective_instrument, make_split_instrument, sampling_cases
 
 # The reference, verbatim.
 
@@ -123,27 +123,8 @@ def probabilities(fn, labels, raws):
     return got if got[0] == "error" else bits(np.ascontiguousarray(got[1]))
 
 
-@st.composite
-def instruments(draw):
-    """A split, projective or padded instrument (N 1..6) and a state of it."""
-    kind = draw(st.sampled_from(["split", "projective", "padded"]))
-    dim = draw(st.integers(1, 6))
-    seed = draw(st.integers(0, 2**32 - 1))
-    if kind == "projective":
-        inst = make_projective_instrument(dim, draw(st.integers(1, dim)), seed)
-    else:
-        rank = draw(st.integers(1, dim * dim))
-        inst = make_split_instrument(dim, draw(st.integers(1, min(5, rank))), seed, rank=rank)
-        if kind == "padded":
-            scale = draw(st.floats(0.05, 0.95))
-            inst = q.pad_to_complete(q.Instrument(
-                dim=dim, maps=tuple((label, q.DynamicalMap(scale * dmap.bmat))
-                                    for label, dmap in inst.maps)))
-    return inst, q.random_density(dim, seed + 1)
-
-
 @settings(max_examples=80, deadline=None)
-@given(case=instruments(), data=st.data())
+@given(case=sampling_cases(), data=st.data())
 def test_outcome_assembly_equals_the_reference(case, data):
     inst, rho = case
     dil = q.build_instrument_dilation(inst)
@@ -184,15 +165,13 @@ def test_an_outcome_at_or_out_of_range_in_each_position_is_met_as_the_reference(
 
 
 @settings(max_examples=60, deadline=None)
-@given(case=instruments(), shots=st.integers(1, 2**63 - 1), seed=st.integers(0, 2**32 - 1),
-       array=st.booleans())
-def test_sample_counts_equal_the_reference(case, shots, seed, array):
+@given(case=sampling_cases(), shots=st.integers(1, 2**63 - 1), seed=st.integers(0, 2**32 - 1))
+def test_sample_counts_equal_the_reference(case, shots, seed):
     inst, rho = case
     dil = q.build_instrument_dilation(inst)
-    state = rho.mat if array else rho
-    got = run(q.sample_outcomes, dil, state, shots, seed)
+    got = run(q.sample_outcomes, dil, rho, shots, seed)
     assert got[0] == "ok"
-    assert list(got[1].items()) == list(sample_outcomes(dil, state, shots, seed).items())
+    assert list(got[1].items()) == list(sample_outcomes(dil, rho, shots, seed).items())
 
 
 @pytest.mark.parametrize("shots", [0, -1, 2**63, 2**63 - 1, 10.0, True, "10", None, np.int64(5)])
