@@ -62,9 +62,9 @@ def _owned(m: np.ndarray, given) -> np.ndarray:
 
     The caller's own array is copied once, whatever its flags, since its
     owner can make it writeable again; so is a view. An array the conversion
-    made, or one handed over as :class:`_Unshared`, is adopted.
+    made, or one handed over as :class:`_Unshared` (a view too), is adopted.
     """
-    if m is given or m.base is not None:
+    if not isinstance(given, _Unshared) and (m is given or m.base is not None):
         m = m.copy()
     return _read_only(m)
 
@@ -194,7 +194,8 @@ class CanonicalDecomposition:
     :func:`canonical_decompose`, and ``ops`` the complex array (L_a) of shape
     (nu, N, N). The validator checks both are finite, that nu <= N^2, and,
     from one Gram matrix of the flattened operators, that the L_a are
-    Hilbert-Schmidt orthonormal to within ``DEFAULT_TOL``.
+    Hilbert-Schmidt orthonormal to within ``DEFAULT_TOL``. Both arrays are
+    read-only: a caller's array or a view is copied once.
     """
 
     dim: int
@@ -203,8 +204,8 @@ class CanonicalDecomposition:
 
     def __post_init__(self):
         n = self.dim
-        weights = np.asarray(self.weights, dtype=float)
-        ops = np.asarray(self.ops, dtype=complex)
+        weights = _owned(np.asarray(self.weights, dtype=float), self.weights)
+        ops = _owned(np.asarray(self.ops, dtype=complex), self.ops)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "ops", ops)
         if ops.ndim != 3 or ops.shape[1:] != (n, n) or weights.shape != ops.shape[:1]:
@@ -243,7 +244,12 @@ class CanonicalDecomposition:
 
 @dataclass(frozen=True)
 class MapProperties:
-    """Diagnostic flags and residuals for a dynamical map."""
+    """Diagnostic flags and residuals for a dynamical map.
+
+    From :func:`check_properties`, ``hermiticity_preserving`` is always true:
+    :class:`DynamicalMap` refuses a matrix whose Hermiticity defect exceeds
+    ``DEFAULT_TOL``.
+    """
 
     hermiticity_preserving: bool
     trace_preserving: bool
@@ -324,41 +330,37 @@ def apply_map(dmap: DynamicalMap, rho) -> np.ndarray:
     return np.einsum("rpsq,pq->rs", b4, mat)
 
 
-def canonical_decompose(
-    dmap: DynamicalMap, trunc_tol: float = TRUNCATION_TOL
-) -> CanonicalDecomposition:
+def canonical_decompose(dmap: DynamicalMap) -> CanonicalDecomposition:
     """The map's ``spectrum`` as weighted eigen-operators.
 
-    Eigenvalues with ``|w| <= trunc_tol * max|w|`` are dropped; the kept
+    Eigenvalues with ``|w| <= TRUNCATION_TOL * max|w|`` are dropped; the kept
     eigenvalues are the weights, and each kept eigenvector is reshaped
     row-major into its operator. The number of terms never exceeds dim^2.
-    A cutoff outside [0, 1), which could drop every term, raises.
     """
-    if not 0.0 <= trunc_tol < 1.0:
-        raise ValidationError(f"truncation cutoff must lie in [0, 1), got {trunc_tol}")
     n = dmap.dim
     vals, vecs = dmap.spectrum
-    keep = np.abs(vals) > trunc_tol * np.max(np.abs(vals), initial=0.0)
+    keep = np.abs(vals) > TRUNCATION_TOL * np.max(np.abs(vals), initial=0.0)
     weights = vals[keep]
     ops = vecs[:, keep].T.reshape(len(weights), n, n)
-    return CanonicalDecomposition(dim=n, weights=weights, ops=ops)
+    return CanonicalDecomposition(dim=n, weights=_Unshared(weights), ops=_Unshared(ops))
 
 
-def check_properties(dmap: DynamicalMap, tol: float = DEFAULT_TOL) -> MapProperties:
+def check_properties(dmap: DynamicalMap) -> MapProperties:
     """Report Hermiticity preservation, trace preservation and complete positivity.
 
     Reports only, never raises on unphysical maps: non-CP and non-TP maps are
-    legitimate inputs elsewhere. ``min_eigenvalue`` is ``dmap.min_eigenvalue``,
-    the number ``Instrument`` gates; the dilation builders gate the weights of
-    the same ``spectrum``.
+    legitimate inputs elsewhere. Each flag compares its measured quantity with
+    ``DEFAULT_TOL``. ``min_eigenvalue`` is ``dmap.min_eigenvalue``, the number
+    ``Instrument`` gates; the dilation builders gate the weights of the same
+    ``spectrum``.
     """
     n = dmap.dim
     trace_defect = max_abs(povm_effect(dmap) - np.eye(n))
     min_eig = dmap.min_eigenvalue
     return MapProperties(
-        hermiticity_preserving=dmap.hermiticity_defect <= tol,
-        trace_preserving=trace_defect <= tol,
-        completely_positive=min_eig >= -tol,
+        hermiticity_preserving=dmap.hermiticity_defect <= DEFAULT_TOL,
+        trace_preserving=trace_defect <= DEFAULT_TOL,
+        completely_positive=min_eig >= -DEFAULT_TOL,
         min_eigenvalue=min_eig,
         trace_defect=float(trace_defect),
     )

@@ -12,20 +12,12 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import math
 import sys
 
-from .channel import (
-    TRUNCATION_TOL,
-    canonical_decompose,
-    check_properties,
-    map_from_kraus,
-    random_cptp,
-)
+from .channel import canonical_decompose, check_properties, map_from_kraus, random_cptp
 from .dilation import build_dilation_unitary, verify_dilation
 from .errors import ParseError, QDilateError
 from .instrument import (
-    POST_STATE_THRESHOLD,
     build_instrument_dilation,
     check_completeness,
     measure_via_dilation,
@@ -41,7 +33,7 @@ from .io import (
     save_instrument_spec,
     write_json,
 )
-from .linalg import DEFAULT_TOL, max_abs
+from .linalg import max_abs
 
 
 def _digest(path) -> dict:
@@ -67,13 +59,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _nonnegative_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0.0):
-        raise argparse.ArgumentTypeError(f"expected a finite non-negative number, got {text}")
-    return value
-
-
 def _seed_int(text: str) -> int:
     value = int(text)
     if value < 0:
@@ -89,11 +74,9 @@ def _outcome_rows(outcomes) -> list:
 
 
 def _cmd_check(args, inputs, options):
-    tol = args.tol if args.tol is not None else DEFAULT_TOL
-    options["tol"] = tol
     if args.channel is not None:
         dmap = _load("channel", args.channel, inputs)
-        props = check_properties(dmap, tol)
+        props = check_properties(dmap)
         return {
             "kind": "channel",
             "dim": dmap.dim,
@@ -104,7 +87,7 @@ def _cmd_check(args, inputs, options):
             "trace_defect": props.trace_defect,
         }
     inst = _load("instrument", args.instrument, inputs)
-    complete, defect = check_completeness(inst, tol)
+    complete, defect = check_completeness(inst)
     return {
         "kind": "instrument",
         "dim": inst.dim,
@@ -116,10 +99,8 @@ def _cmd_check(args, inputs, options):
 
 
 def _cmd_decompose(args, inputs, options):
-    trunc_tol = args.trunc_tol if args.trunc_tol is not None else TRUNCATION_TOL
-    options["trunc_tol"] = trunc_tol
     dmap = _load("channel", args.channel, inputs)
-    dec = canonical_decompose(dmap, trunc_tol)
+    dec = canonical_decompose(dmap)
     rebuilt = map_from_kraus(zip(dec.weights, dec.ops), dec.dim)
     return {
         "dim": dec.dim,
@@ -157,16 +138,14 @@ def _cmd_verify(args, inputs, options):
 
 
 def _cmd_measure(args, inputs, options):
-    threshold = args.threshold if args.threshold is not None else POST_STATE_THRESHOLD
-    options["threshold"] = threshold
     options["route"] = "direct" if args.direct else "dilation"
     inst = _load("instrument", args.instrument, inputs)
     rho = _load("state", args.state, inputs)
     if args.direct:
-        outcomes = outcome_statistics(inst, rho, threshold)
+        outcomes = outcome_statistics(inst, rho)
     else:
         dil = build_instrument_dilation(inst)
-        outcomes = measure_via_dilation(dil, rho, threshold)
+        outcomes = measure_via_dilation(dil, rho)
     return {
         "dim": inst.dim,
         "outcomes": _outcome_rows(outcomes),
@@ -205,7 +184,7 @@ def _cmd_random(args, inputs, options):
     options["kraus_rank"] = args.kraus_rank
     options["seed"] = args.seed
     dmap = random_cptp(args.dim, args.kraus_rank, args.seed)
-    props = check_properties(dmap, DEFAULT_TOL)
+    props = check_properties(dmap)
     if args.spec_out is not None:
         options["spec_out"] = str(args.spec_out)
         save_channel_spec(
@@ -247,13 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     target = p.add_mutually_exclusive_group(required=True)
     target.add_argument("--channel", help="channel spec file")
     target.add_argument("--instrument", help="instrument spec file")
-    p.add_argument("--tol", type=_nonnegative_float, default=None, help="property tolerance")
 
     p = sub.add_parser("decompose", parents=[common], help="eigen-decompose a channel")
     p.add_argument("--channel", required=True, help="channel spec file")
-    p.add_argument(
-        "--trunc-tol", type=_nonnegative_float, default=None, help="relative weight cutoff"
-    )
 
     p = sub.add_parser("dilate", parents=[common], help="build the dilation unitary")
     target = p.add_mutually_exclusive_group(required=True)
@@ -268,9 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("measure", parents=[common], help="outcome table for a state")
     p.add_argument("--instrument", required=True, help="instrument spec file")
     p.add_argument("--state", required=True, help="state spec file")
-    p.add_argument(
-        "--threshold", type=_nonnegative_float, default=None, help="post-state probability floor"
-    )
     p.add_argument(
         "--direct",
         action="store_true",

@@ -63,7 +63,9 @@ class Instrument:
     ``defect`` is the identity minus the total effect, a read-only array
     computed once; the instrument is ``complete`` when no entry of it exceeds
     ``DEFAULT_TOL`` in magnitude, the bound at which its dilation's isometry
-    counts as one, so a set is complete exactly when it dilates. An outcome is
+    counts as one. The isometry check reads V^dagger V, which rounds
+    differently, so a set whose defect lies within a few roundings of the
+    bound can be complete and not dilate, or the reverse. An outcome is
     CP when the ``min_eigenvalue`` of its ``spectrum``, the one the dilation
     reads, is not below ``-DEFAULT_TOL``.
     """
@@ -120,9 +122,10 @@ class Instrument:
 class OutcomeResult:
     """One outcome: its probability, raw weighted state, and normalized post state.
 
-    A readout's ``post_state`` is raw / p, a read-only array (None at or below
-    its threshold) and not a :class:`DensityMatrix`, since a small p divides
-    the input's allowed defect by p; a readout gates it like any array.
+    A readout's ``post_state`` is raw / p, a read-only array (None at or
+    below ``POST_STATE_THRESHOLD``) and not a :class:`DensityMatrix`, since a
+    small p divides the input's allowed defect by p; a readout gates it like
+    any array.
     """
 
     label: str
@@ -167,11 +170,8 @@ def _make_outcomes(labels, raws: np.ndarray, threshold: float) -> tuple:
     Outcome k has probability trace(raws[k]), range-checked and clamped by
     :func:`_probabilities`, so each result meets the :class:`OutcomeResult`
     checks by construction. Above ``threshold`` it gets the post state
-    raws[k] / p, a read-only matrix, not gated. A threshold that is
-    negative or NaN raises.
+    raws[k] / p, a read-only matrix, not gated.
     """
-    if not threshold >= 0.0:
-        raise ValidationError(f"post-state threshold must be non-negative, got {threshold}")
     return tuple(
         _checked(
             OutcomeResult, label=label, probability=prob, raw_unnormalized=raw,
@@ -181,9 +181,9 @@ def _make_outcomes(labels, raws: np.ndarray, threshold: float) -> tuple:
     )
 
 
-def check_completeness(inst: Instrument, tol: float = DEFAULT_TOL) -> tuple:
+def check_completeness(inst: Instrument) -> tuple:
     """Return (complete, defect) with defect = identity minus the total effect."""
-    return bool(max_abs(inst.defect) <= tol), inst.defect
+    return inst.complete, inst.defect
 
 
 def pad_to_complete(inst: Instrument) -> Instrument:
@@ -234,9 +234,7 @@ def build_instrument_dilation(inst: Instrument) -> Dilation:
     return stack_isometry(parts)
 
 
-def measure_via_dilation(
-    dil: Dilation, rho, threshold: float = POST_STATE_THRESHOLD
-) -> tuple:
+def measure_via_dilation(dil: Dilation, rho) -> tuple:
     """Evolve rho (x) |0><0| jointly, then project the ancilla sector by sector.
 
     ``rho`` passes the density-matrix gate first, unless it is already a
@@ -248,19 +246,17 @@ def measure_via_dilation(
     """
     mat = gated_state(rho, dil.sys_dim)
     labels = [sector.label for sector in dil.sectors]
-    return _make_outcomes(labels, sector_states(dil, mat), threshold)
+    return _make_outcomes(labels, sector_states(dil, mat), POST_STATE_THRESHOLD)
 
 
-def outcome_statistics(
-    inst: Instrument, rho, threshold: float = POST_STATE_THRESHOLD
-) -> tuple:
+def outcome_statistics(inst: Instrument, rho) -> tuple:
     """Apply each outcome map directly; the reference for measure_via_dilation.
 
     ``rho`` is gated as in :func:`measure_via_dilation`, then all K maps are
     applied as by :func:`apply_map`, in one stacked einsum.
     """
     raws = np.einsum("krpsq,pq->krs", inst._bmats, gated_state(rho, inst.dim))
-    return _make_outcomes(inst.labels, raws, threshold)
+    return _make_outcomes(inst.labels, raws, POST_STATE_THRESHOLD)
 
 
 def sample_outcomes(dil: Dilation, rho, shots: int, seed) -> dict:

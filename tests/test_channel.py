@@ -205,16 +205,35 @@ def test_canonical_decompose_transpose_exposes_negative_weight():
     assert q.max_abs(weights - np.array([-1.0, 1.0, 1.0, 1.0])) < 1e-9
 
 
-@pytest.mark.parametrize("trunc_tol", [1.0, 2.5, -1e-300, np.inf, np.nan])
-def test_canonical_decompose_refuses_a_cutoff_outside_zero_one(trunc_tol):
-    # A cutoff of 1 or more would keep no eigenvalue of a nonzero map.
-    with pytest.raises(q.ValidationError, match="truncation cutoff"):
-        q.canonical_decompose(depolarizing_map(), trunc_tol)
+def test_canonical_decomposition_owns_read_only_arrays():
+    dec = q.canonical_decompose(q.random_cptp(2, 3, 68))
+    weights, ops = dec.weights.copy(), dec.ops.copy()
+    held = q.CanonicalDecomposition(dim=2, weights=weights, ops=ops)
+    # A write to the caller's arrays once reached the held ones, leaving an
+    # operator of HS norm 3 that the validator refuses in a fresh decomposition.
+    weights[0] = -1.0
+    ops[0] *= 3
+    for mine, theirs in ((held.weights, weights), (held.ops, ops)):
+        assert not mine.flags.writeable
+        assert not np.shares_memory(mine, theirs)
+    assert np.array_equal(held.weights, dec.weights) and np.array_equal(held.ops, dec.ops)
+    q.CanonicalDecomposition(dim=2, weights=held.weights, ops=held.ops)
 
 
-def test_canonical_decompose_accepts_cutoffs_just_inside_zero_one():
-    assert q.canonical_decompose(depolarizing_map(), 0.0).rank == 4
-    assert q.canonical_decompose(depolarizing_map(), np.nextafter(1.0, 0.0)).rank == 4
+def test_canonical_decompose_hands_its_arrays_over_without_a_copy(monkeypatch):
+    adopted = []
+    owned = channel._owned
+
+    def recording(m, given):
+        out = owned(m, given)
+        adopted.append(out is m)
+        return out
+
+    dmap = q.random_cptp(3, 5, 69)
+    monkeypatch.setattr(channel, "_owned", recording)
+    dec = q.canonical_decompose(dmap)
+    assert adopted == [True, True]
+    assert not dec.weights.flags.writeable and not dec.ops.flags.writeable
 
 
 def test_check_properties_identity_all_true():
@@ -389,7 +408,6 @@ def test_the_hermiticity_defect_is_measured_once_per_map(monkeypatch):
     assert sides.count((9, 9)) == 1
     assert dmap.hermiticity_defect == q.max_abs(bmat - q.dagger(bmat)) > 1e-13
     assert props.hermiticity_preserving
-    assert not q.check_properties(dmap, tol=1e-13).hermiticity_preserving
 
 
 @pytest.fixture

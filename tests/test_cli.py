@@ -55,17 +55,35 @@ def test_decompose_reports_weights(tmp_path):
     assert report["results"]["reconstruction_error"] < 1e-9
 
 
-@pytest.mark.parametrize("cutoff", ["1", "3.5"])
-def test_decompose_refuses_a_cutoff_that_drops_every_term(tmp_path, cutoff):
-    report = run_to_report(
+def decompose_and_dilate(tmp_path, spec) -> tuple:
+    """The num_terms of ``decompose`` and the anc_dim of ``dilate --channel`` on a CPTP spec."""
+    results = run_to_report(tmp_path, ["check", "--channel", spec])["results"]
+    assert results["trace_preserving"] and results["completely_positive"]
+    num_terms = run_to_report(tmp_path, ["decompose", "--channel", spec])["results"]["num_terms"]
+    anc_dim = run_to_report(tmp_path, ["dilate", "--channel", spec])["results"]["anc_dim"]
+    return num_terms, anc_dim
+
+
+@pytest.mark.parametrize(
+    "name", ["amplitude_damping.json", "bit_flip.json", "dephasing.json", "identity.json"]
+)
+def test_decompose_describes_the_decomposition_dilate_builds(tmp_path, name):
+    num_terms, anc_dim = decompose_and_dilate(tmp_path, str(channel_path(name)))
+    assert num_terms == anc_dim
+
+
+@pytest.mark.parametrize("dim, rank", [(3, 2), (3, 3), (3, 9), (4, 2), (4, 4), (4, 16)])
+def test_decompose_and_dilate_drop_the_same_eigen_noise(tmp_path, dim, rank):
+    # Read back as a dynamical matrix, the map takes the eigh route: its
+    # N^2 - rank zero eigenvalues come out as rounding noise, which the one
+    # truncation bound drops for both subcommands.
+    spec = str(tmp_path / "random.json")
+    run_to_report(
         tmp_path,
-        ["decompose", "--channel", str(channel_path("amplitude_damping.json")),
-         "--trunc-tol", cutoff],
-        expect_code=1,
+        ["random", "--dim", str(dim), "--kraus-rank", str(rank), "--seed", "5",
+         "--spec-out", spec],
     )
-    assert report["status"] == "error"
-    assert report["error"]["code"] == "ValidationError"
-    assert "truncation cutoff" in report["error"]["message"]
+    assert decompose_and_dilate(tmp_path, spec) == (rank, rank)
 
 
 def test_dilate_channel_reports_unitary(tmp_path):
@@ -384,57 +402,9 @@ def test_usage_errors_exit_via_argparse(tmp_path):
         )
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["check", "--channel", str(channel_path("identity.json")), "--tol"],
-        ["check", "--instrument", str(instrument_path("p0_projection.json")), "--tol"],
-        ["decompose", "--channel", str(channel_path("identity.json")), "--trunc-tol"],
-        [
-            "measure",
-            "--instrument",
-            str(instrument_path("computational_basis.json")),
-            "--state",
-            str(state_path("excited.json")),
-            "--threshold",
-        ],
-    ],
-    ids=["check-channel", "check-instrument", "decompose", "measure"],
-)
-@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-300"])
-def test_tolerance_flags_refuse_nan_infinite_and_negative_values(tmp_path, capsys, args, value):
-    # "--flag=value", since argparse reads "-inf" alone as an option.
-    flag = f"{args[-1]}={value}"
-    with pytest.raises(SystemExit):
-        run_command([*args[:-1], flag, "--out", str(tmp_path / "report.json")])
-    assert "expected a finite non-negative number" in capsys.readouterr().err
-    assert not (tmp_path / "report.json").exists()
-
-
-def test_tolerance_flags_accept_zero(tmp_path):
-    report = run_to_report(
-        tmp_path, ["check", "--channel", str(channel_path("identity.json")), "--tol", "0"]
-    )
-    assert report["options"]["tol"] == 0.0
-    assert report["results"]["trace_preserving"] is True
-    report = run_to_report(
-        tmp_path,
-        [
-            "measure",
-            "--instrument",
-            str(instrument_path("computational_basis.json")),
-            "--state",
-            str(state_path("excited.json")),
-            "--threshold",
-            "0",
-        ],
-    )
-    rows = report["results"]["outcomes"]
-    assert [row["post_state"] is None for row in rows] == [True, False]
-
-
 def test_check_instrument_defaults_to_the_one_bound(tmp_path):
     report = run_to_report(
         tmp_path, ["check", "--instrument", str(instrument_path("computational_basis.json"))]
     )
-    assert report["options"]["tol"] == q.DEFAULT_TOL == 1e-10
+    assert report["options"] == {}
+    assert report["results"]["complete"] is True
