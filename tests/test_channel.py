@@ -205,6 +205,17 @@ def test_canonical_decompose_transpose_exposes_negative_weight():
     assert q.max_abs(weights - np.array([-1.0, 1.0, 1.0, 1.0])) < 1e-9
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e-6])
+@pytest.mark.parametrize("ratio", [0.0, 0.5, -0.5, 2.0, -2.0])
+def test_truncation_drops_weights_within_the_bound_of_the_largest(scale, ratio):
+    # B = diag(scale, w, 0, 0) with w = ratio * TRUNCATION_TOL * scale: the
+    # cutoff is relative to the largest |weight| and blind to the sign.
+    small = ratio * q.TRUNCATION_TOL * scale
+    dec = q.canonical_decompose(q.DynamicalMap(np.diag([scale, small, 0.0, 0.0])))
+    kept = [scale, small] if abs(ratio) > 1 else [scale]
+    assert sorted(dec.weights) == sorted(kept)
+
+
 def test_canonical_decomposition_owns_read_only_arrays():
     dec = q.canonical_decompose(q.random_cptp(2, 3, 68))
     weights, ops = dec.weights.copy(), dec.ops.copy()

@@ -408,3 +408,50 @@ def test_check_instrument_defaults_to_the_one_bound(tmp_path):
     )
     assert report["options"] == {}
     assert report["results"]["complete"] is True
+
+
+MEASURE_EXCITED = [
+    "measure",
+    "--instrument",
+    str(instrument_path("computational_basis.json")),
+    "--state",
+    str(state_path("excited.json")),
+]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["check", "--channel", str(channel_path("identity.json")), "--tol", "1e-6"],
+        ["check", "--instrument", str(instrument_path("p0_projection.json")), "--tol", "1e-6"],
+        ["decompose", "--channel", str(channel_path("identity.json")), "--trunc-tol", "0.5"],
+        [*MEASURE_EXCITED, "--threshold", "0"],
+    ],
+    ids=["check-channel", "check-instrument", "decompose", "measure"],
+)
+def test_tolerance_flags_are_usage_errors(tmp_path, capsys, args):
+    # The library bounds decide every verdict, cutoff and post state, so a
+    # per-call bound is an unrecognized argument and writes no report.
+    with pytest.raises(SystemExit):
+        run_command([*args, "--out", str(tmp_path / "report.json")])
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize(
+    "args, options",
+    [
+        (["check", "--channel", str(channel_path("amplitude_damping.json"))], {}),
+        (["decompose", "--channel", str(channel_path("amplitude_damping.json"))], {}),
+        (MEASURE_EXCITED, {"route": "dilation"}),
+        ([*MEASURE_EXCITED, "--direct"], {"route": "direct"}),
+    ],
+    ids=["check", "decompose", "measure-dilation", "measure-direct"],
+)
+def test_reports_record_no_tolerance_options(tmp_path, args, options):
+    report = run_to_report(tmp_path, args)
+    assert report["options"] == options
+    if args[0] == "measure":
+        # The p = 0 outcome "0" of |1><1| gets no post state at the one bound.
+        rows = report["results"]["outcomes"]
+        assert [row["post_state"] is None for row in rows] == [True, False]

@@ -349,6 +349,27 @@ def test_probability_range_gate_refuses_nan():
         instrument._make_outcomes(("0", "1"), raws, q.POST_STATE_THRESHOLD)
 
 
+@pytest.mark.parametrize("route", ["dilation", "direct"])
+@pytest.mark.parametrize("ratio", [0.0, 0.5, 2.0])
+def test_readouts_give_a_post_state_only_above_the_threshold(route, ratio):
+    # rho = diag(1 - p, p) with p = ratio * POST_STATE_THRESHOLD: outcome "1"
+    # has probability p and a post state, |1><1|, only when p exceeds the bound.
+    p = ratio * q.POST_STATE_THRESHOLD
+    rho = np.diag([1.0 - p, p])
+    inst = basis_instrument()
+    if route == "dilation":
+        rows = q.measure_via_dilation(q.build_instrument_dilation(inst), rho)
+    else:
+        rows = q.outcome_statistics(inst, rho)
+    assert abs(rows[1].probability - p) < 1e-15
+    assert np.array_equal(rows[0].post_state, P0)
+    if ratio > 1:
+        # raw / p, with p near 1e-12, magnifies any rounding in raw.
+        assert q.max_abs(rows[1].post_state - P1) < 1e-3
+    else:
+        assert rows[1].post_state is None
+
+
 def reference_outcomes(labels, raws, threshold=q.POST_STATE_THRESHOLD):
     """The outcome-by-outcome readout, with a density-matrix check per post state.
 
