@@ -125,7 +125,9 @@ class DynamicalMap:
     defect max|B - B^dagger| is kept as ``hermiticity_defect``. ``bmat`` is
     read-only: a caller's array or a view is copied once.
     :func:`map_from_kraus` may attach a factor F with B = F F^dagger (up to
-    rounding), which ``spectrum`` then decomposes instead of B.
+    rounding), which ``spectrum`` then decomposes instead of B. The read-only
+    ``transfer`` matrix, one permuting copy of B cached on the first direct
+    application, holds 16 N^4 bytes more, as ``spectrum``'s eigenvectors do.
     """
 
     bmat: np.ndarray = field(repr=False)
@@ -174,6 +176,11 @@ class DynamicalMap:
             vals, vecs = sorted_eigh(self.bmat)
         vals.flags.writeable = vecs.flags.writeable = False
         return vals, vecs
+
+    @cached_property
+    def transfer(self) -> np.ndarray:
+        """L[(r, s), (p, q)] = B[(r, p), (s, q)], so vec(map(rho)) = L vec(rho), row-major."""
+        return _transfer_stack([self.bmat], self.dim)[0]
 
     @property
     def min_eigenvalue(self) -> float:
@@ -318,16 +325,21 @@ def gated_state(rho, dim: int) -> np.ndarray:
     return DensityMatrix(state_matrix(rho, dim)).mat
 
 
+def _transfer_stack(bmats, n: int) -> np.ndarray:
+    """The transfer matrices of K dynamical matrices as one read-only (K, N^2, N^2) copy."""
+    # np.array of a list is C-order, so the reshape below copies nothing.
+    stack = np.array([b.reshape(n, n, n, n).transpose(0, 2, 1, 3) for b in bmats])
+    return _read_only(stack.reshape(-1, n * n, n * n))
+
+
 def apply_map(dmap: DynamicalMap, rho) -> np.ndarray:
     """Apply a dynamical map directly: ``out[r, s] = B[(r,r'),(s,s')] rho[r',s']``.
 
-    The output is a plain matrix; it has unit trace only if the map is
-    trace-preserving.
+    One GEMV of the cached ``transfer`` matrix by vec(rho). The output is a
+    plain matrix; it has unit trace only if the map is trace-preserving.
     """
     n = dmap.dim
-    mat = state_matrix(rho, n)
-    b4 = dmap.bmat.reshape(n, n, n, n)
-    return np.einsum("rpsq,pq->rs", b4, mat)
+    return (dmap.transfer @ state_matrix(rho, n).reshape(-1)).reshape(n, n)
 
 
 def canonical_decompose(dmap: DynamicalMap) -> CanonicalDecomposition:

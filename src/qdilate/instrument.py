@@ -25,6 +25,7 @@ from .channel import (
     DynamicalMap,
     _checked,
     _read_only,
+    _transfer_stack,
     canonical_decompose,
     gated_state,
     map_from_kraus,
@@ -111,11 +112,9 @@ class Instrument:
         return tuple(label for label, _ in self.maps)
 
     @cached_property
-    def _bmats(self) -> np.ndarray:
-        """The maps' dynamical matrices as one read-only (K, N, N, N, N) stack."""
-        stack = np.stack([dmap.bmat for _, dmap in self.maps]).reshape(-1, *[self.dim] * 4)
-        stack.flags.writeable = False
-        return stack
+    def _transfers(self) -> np.ndarray:
+        """The maps' ``transfer`` matrices as one (K, N^2, N^2) stack: 16 K N^4 bytes."""
+        return _transfer_stack([dmap.bmat for _, dmap in self.maps], self.dim)
 
 
 @dataclass(frozen=True, eq=False)
@@ -253,9 +252,11 @@ def outcome_statistics(inst: Instrument, rho) -> tuple:
     """Apply each outcome map directly; the reference for measure_via_dilation.
 
     ``rho`` is gated as in :func:`measure_via_dilation`, then all K maps are
-    applied as by :func:`apply_map`, in one stacked einsum.
+    applied in one batched matmul of the cached ``transfer`` stack by vec(rho),
+    whose every outcome is the GEMV :func:`apply_map` makes, bit for bit.
     """
-    raws = np.einsum("krpsq,pq->krs", inst._bmats, gated_state(rho, inst.dim))
+    n = inst.dim
+    raws = np.matmul(inst._transfers, gated_state(rho, n).reshape(-1)).reshape(-1, n, n)
     return _make_outcomes(inst.labels, raws, POST_STATE_THRESHOLD)
 
 

@@ -6,7 +6,11 @@ built; runs at 1 and 2 threads must print the same lines. That includes
 rank-deficient Kraus maps, a channel and a split instrument at N = 5 and 8,
 which are decomposed by a thin SVD (LAPACK's zgesdd) rather than eigh. So
 must the dynamical matrices ``map_from_kraus`` forms in one BLAS product, at
-N = 8, 12 and 16 with full-rank signed Kraus sums. The sector readout
+N = 8, 12 and 16 with full-rank signed Kraus sums, and the direct route's
+GEMVs on them: ``apply_map`` of each map, and ``outcome_statistics`` of the
+two-outcome instrument of its positive and negative parts (formed elementwise
+from B and the full-rank map of the weights' magnitudes), on a state formed
+without LAPACK (x x^dagger / tr). The sector readout
 at N = 12 and 16 reads an isometry and a state saved by a 1-thread process:
 building them (random_cptp's QR, canonical_decompose's eigh) changes bits
 with the thread count at N >= 12, and the readout must not add to that. So
@@ -73,7 +77,21 @@ for n in (8, 12, 16):
     rng = np.random.default_rng(500 + n)
     shape = (n * n, n, n)
     ops = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    print(n, digest(q.map_from_kraus(zip(rng.standard_normal(n * n), ops), n).bmat.tobytes()))
+    weights = rng.standard_normal(n * n)
+    dmap = q.map_from_kraus(zip(weights, ops), n)
+    print(n, digest(dmap.bmat.tobytes()))
+    x = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    rho = x @ x.conj().T
+    rho /= rho.trace().real
+    # The map's positive and negative parts, (|B| +- B) / 2 with |B| the map of
+    # the |weights|, scaled to a total effect of trace 1.
+    absolute = q.map_from_kraus(zip(np.abs(weights), ops), n).bmat
+    scale = 0.5 / absolute.trace().real
+    halves = q.Instrument(dim=n, maps=(("+", q.DynamicalMap(scale * (absolute + dmap.bmat))),
+                                       ("-", q.DynamicalMap(scale * (absolute - dmap.bmat)))))
+    print(n, digest(q.apply_map(dmap, rho).tobytes()),
+          [(o.probability.hex(), digest(o.raw_unnormalized.tobytes()))
+           for o in q.outcome_statistics(halves, rho)])
 saved = np.load(sys.argv[1])
 for n in (12, 16):
     iso = saved[f"iso{n}"]
@@ -124,5 +142,5 @@ def test_unitaries_and_reports_do_not_depend_on_blas_threads(tmp_path):
     run_probe(1, SAVE, [str(saved)])
     args = [str(saved), *argvs]
     one = run_probe(1, PROBE, args)
-    assert len(one.splitlines()) == 13 + len(argvs)
+    assert len(one.splitlines()) == 16 + len(argvs)
     assert one == run_probe(2, PROBE, args)
