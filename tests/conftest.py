@@ -1,5 +1,6 @@
 """Shared fixtures: paths to shipped spec files and random instrument builders."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -110,6 +111,16 @@ def another_completion(dil: q.Dilation, seed) -> np.ndarray:
         haar *= np.diag(r) / np.abs(np.diag(r))
         u[:, free] = u[:, free] @ haar
     return u
+
+
+def traced_peak(fn) -> int:
+    """The peak bytes tracemalloc sees while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def joint_state_through(u: np.ndarray, rho: q.DensityMatrix, anc_dim: int) -> np.ndarray:

@@ -1,7 +1,6 @@
 """Channel dilations: isometry construction, completion, evolution, verification."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +19,7 @@ from conftest import (
     another_completion,
     joint_state_through,
     make_split_instrument,
+    traced_peak,
 )
 
 
@@ -499,15 +499,6 @@ def test_unitary_is_the_completion_of_the_isometry_in_slot_order():
         order = [r * anc for r in range(n)]
         order += [r * anc + a for r in range(n) for a in range(1, anc)]
         assert np.array_equal(dil.u[:, order], complete_to_unitary(dil.isometry))
-
-
-def traced_peak(fn) -> int:
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def test_building_and_reading_the_unitary_holds_under_three_copies():

@@ -9,8 +9,6 @@ it must lie within rounding of the einsum, while every outcome of
 properties pin no ``max_examples``, so CI runs them under the ``ci`` profile.
 """
 
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +17,7 @@ from hypothesis import strategies as st
 import qdilate as q
 from qdilate.channel import gated_state, state_matrix
 
-from conftest import channel_path, make_projective_instrument, make_split_instrument
+from conftest import channel_path, make_projective_instrument, make_split_instrument, traced_peak
 
 EPS = np.finfo(float).eps
 
@@ -113,15 +111,6 @@ def test_an_instrument_holds_one_stack_of_its_maps_transfer_matrices():
     assert not stack.flags.writeable
     assert np.array_equal(stack, np.stack([dmap.transfer for _, dmap in inst.maps]))
     assert not any(np.shares_memory(stack, dmap.bmat) for _, dmap in inst.maps)
-
-
-def traced_peak(fn) -> int:
-    tracemalloc.start()
-    try:
-        fn()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 SLACK = 64 * 1024
