@@ -272,8 +272,10 @@ def map_from_kraus(terms, dim: int) -> DynamicalMap:
     dim x dim operators; operators need not be normalized here. The result is
     ``sum_a w_a vec(K_a) vec(K_a)^dagger`` with row-major ``vec``, formed as
     one BLAS product ``(M^T diag(w)) conj(M)`` of the r x dim^2 stack M of
-    flattened operators: the same bits at any BLAS thread count, Hermitian to
-    rounding (not bitwise), and handed to :class:`DynamicalMap` uncopied.
+    flattened operators, Hermitian to rounding (not bitwise) and handed to
+    :class:`DynamicalMap` uncopied. Its bits may depend on the BLAS thread
+    count: OpenBLAS's product changes them between 1 and 2 threads for some
+    term counts r > 128 (r = 130, 132 and 254 among those probed).
     With r < dim^2 terms and no negative weight, the map also keeps the
     dim^2 x r factor ``F = M^T diag(sqrt(w))``, so its ``spectrum`` is a thin
     SVD of F rather than an ``eigh`` of the dim^2 x dim^2 matrix.

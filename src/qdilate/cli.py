@@ -26,9 +26,10 @@ from .instrument import (
     sample_outcomes,
 )
 from .io import (
-    load_channel,
-    load_instrument,
-    load_state,
+    _channel_from_document,
+    _instrument_from_document,
+    _parse_document,
+    _state_from_document,
     save_channel_spec,
     save_instrument_spec,
     write_json,
@@ -36,20 +37,33 @@ from .io import (
 from .linalg import max_abs
 
 
-def _digest(path) -> dict:
+_FROM_DOCUMENT = {
+    "channel": _channel_from_document,
+    "instrument": _instrument_from_document,
+    "state": _state_from_document,
+}
+
+
+def _load(kind: str, path, inputs: dict):
+    """Read a channel, instrument or state file, recording its digest in ``inputs``.
+
+    The file is read once: the digest names the bytes that were parsed.
+    """
     try:
         with open(path, "rb") as fh:
             blob = fh.read()
     except OSError as exc:
         raise ParseError(f"{path}: cannot read ({exc})") from exc
-    return {"path": str(path), "sha256": hashlib.sha256(blob).hexdigest()}
+    inputs[kind] = {"path": str(path), "sha256": hashlib.sha256(blob).hexdigest()}
+    return _FROM_DOCUMENT[kind](_parse_document(blob, path), path)
 
 
-def _load(kind: str, path, inputs: dict):
-    """Read a channel, instrument or state file, recording its digest in ``inputs``."""
-    inputs[kind] = _digest(path)
-    loader = {"channel": load_channel, "instrument": load_instrument, "state": load_state}[kind]
-    return loader(path)
+def _save_spec(save, path, *args, **kwargs) -> None:
+    """Write a spec file, reporting a path that cannot be written as a ParseError."""
+    try:
+        save(path, *args, **kwargs)
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot write ({exc})") from exc
 
 
 def _positive_int(text: str) -> int:
@@ -168,7 +182,7 @@ def _cmd_pad(args, inputs, options):
     padded = pad_to_complete(inst)
     if args.spec_out is not None:
         options["spec_out"] = str(args.spec_out)
-        save_instrument_spec(args.spec_out, padded)
+        _save_spec(save_instrument_spec, args.spec_out, padded)
     return {
         "dim": inst.dim,
         "was_complete": inst.complete,
@@ -187,7 +201,8 @@ def _cmd_random(args, inputs, options):
     props = check_properties(dmap)
     if args.spec_out is not None:
         options["spec_out"] = str(args.spec_out)
-        save_channel_spec(
+        _save_spec(
+            save_channel_spec,
             args.spec_out,
             dmap,
             metadata={"name": f"random_cptp_dim{args.dim}_rank{args.kraus_rank}_seed{args.seed}"},

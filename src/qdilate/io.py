@@ -85,10 +85,10 @@ def write_json(obj, fh) -> None:
     """Write the text of ``json.dumps(obj, indent=2) + "\\n"`` to ``fh``.
 
     A 2-d ndarray is written as :func:`encode_matrix` would encode it, one
-    row at a time: ``repr`` of the row's list formats its floats with the
-    ``float.__repr__`` json uses, and two ``str.replace`` calls add the
-    indented [re, im] layout. Every other value is formatted by
-    ``json.dumps`` itself.
+    row at a time: a template holding the row's indented [re, im] layout,
+    built once per matrix, takes the row's floats as ``%r`` fields, which
+    format them with the ``float.__repr__`` json uses. Every other value is
+    formatted by ``json.dumps`` itself.
     """
     _write(obj, fh.write, "\n")
     fh.write("\n")
@@ -125,28 +125,30 @@ def _write_matrix(m: np.ndarray, write, nl: str) -> None:
     if not m.size:
         _write(encode_matrix(m), write, nl)
         return
-    pairs = _float_pairs(m)
-    finite = bool(np.isfinite(pairs).all())
+    parts = _float_pairs(m).reshape(m.shape[0], -1)
+    finite = bool(np.isfinite(parts).all())
     row_nl, pair_nl, part_nl = nl + "  ", nl + "    ", nl + "      "
-    open_row = "[" + pair_nl + "[" + part_nl
-    close_row = pair_nl + "]" + row_nl + "]"
-    head = "[" + row_nl
-    for row in pairs:
-        # "[[a, b], [c, d]]" -> the indented pairs between open_row and close_row.
-        text = repr(row.tolist())[2:-2]
-        text = text.replace("], [", pair_nl + "]," + pair_nl + "[" + part_nl)
-        text = text.replace(", ", "," + part_nl)
+    # One row of json.dumps(indent=2) text at this depth, a %r per float:
+    # "%r" is float.__repr__, the formatter json uses.
+    pair = "[" + part_nl + "%r," + part_nl + "%r" + pair_nl + "]"
+    row = "[" + pair_nl + ("," + pair_nl).join([pair] * m.shape[1]) + row_nl + "]"
+    template, later_rows = "[" + row_nl + row, "," + row_nl + row
+    for values in parts:
+        text = template % tuple(values.tolist())
         if not finite:
             text = text.replace("nan", "NaN").replace("inf", "Infinity")
-        write(head + open_row + text + close_row)
-        head = "," + row_nl
+        write(text)
+        template = later_rows
     write(nl + "]")
 
 
-def _read_document(path) -> dict:
+def _parse_document(blob: bytes, path) -> dict:
+    """The spec document in ``blob``, the bytes of the file at ``path``."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        # The text open(path, encoding="utf-8") reads: strict UTF-8, with
+        # "\r\n" and "\r" read as "\n", so parse errors name the same places.
+        text = blob.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        doc = json.loads(text)
     except (ValueError, RecursionError) as exc:
         # ValueError covers bad JSON, bytes that are not UTF-8 and integer
         # literals past the int-digit limit; RecursionError, deep nesting.
@@ -159,6 +161,11 @@ def _read_document(path) -> dict:
             f"{path}: unsupported format_version {version!r}, expected {FORMAT_VERSION!r}"
         )
     return doc
+
+
+def _read_document(path) -> dict:
+    with open(path, "rb") as fh:
+        return _parse_document(fh.read(), path)
 
 
 def _read_dim(doc: dict, path) -> int:
@@ -211,7 +218,10 @@ def _decode_channel_payload(obj: dict, dim: int, where: str) -> DynamicalMap:
 
 def load_channel(path) -> DynamicalMap:
     """Read a channel spec file into a dynamical map."""
-    doc = _read_document(path)
+    return _channel_from_document(_read_document(path), path)
+
+
+def _channel_from_document(doc: dict, path) -> DynamicalMap:
     dim = _read_dim(doc, path)
     return _decode_channel_payload(doc, dim, str(path))
 
@@ -231,7 +241,10 @@ def save_channel_spec(path, dmap: DynamicalMap, metadata: dict = None) -> None:
 
 def load_instrument(path) -> Instrument:
     """Read an instrument spec file into an Instrument."""
-    doc = _read_document(path)
+    return _instrument_from_document(_read_document(path), path)
+
+
+def _instrument_from_document(doc: dict, path) -> Instrument:
     dim = _read_dim(doc, path)
     outcomes = doc.get("outcomes")
     if not isinstance(outcomes, list) or not outcomes:
@@ -273,7 +286,10 @@ def save_instrument_spec(path, inst: Instrument) -> None:
 
 def load_state(path) -> DensityMatrix:
     """Read a state spec file into a DensityMatrix."""
-    doc = _read_document(path)
+    return _state_from_document(_read_document(path), path)
+
+
+def _state_from_document(doc: dict, path) -> DensityMatrix:
     dim = _read_dim(doc, path)
     mat = decode_matrix(doc.get("matrix"), f"{path} state matrix")
     if mat.shape != (dim, dim):

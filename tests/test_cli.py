@@ -1,5 +1,6 @@
 """Command line interface: subcommands, reports, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -343,21 +344,84 @@ def test_integer_too_large_for_a_float_is_a_parse_error(tmp_path, field, message
     assert report["error"]["message"].endswith(message)
 
 
+def text_mode_message(path) -> str:
+    """The invalid-JSON message for ``path`` read as UTF-8 text and parsed by json.load."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            json.load(fh)
+    except (ValueError, RecursionError) as exc:
+        return f"{path}: invalid JSON ({exc})"
+    raise AssertionError(f"{path} parses")
+
+
 @pytest.mark.parametrize(
     "payload",
     [
         pytest.param(b'{"format_version": "1", "dim": \xff}', id="not_utf8"),
+        pytest.param(b'{"dim": "' + b"x" * 9000 + b'\xc3(", "a": 1}', id="not_utf8_past_8k"),
         pytest.param(b'{"format_version": "1", "dim": ' + b"7" * 5000 + b"}", id="long_int"),
         pytest.param(b"[" * 100_000, id="deep_nesting"),
+        pytest.param(b'{\r\n  "format_version": "1",\r\n  "dim": 2,,\r\n}', id="crlf"),
+        pytest.param(b'{\r  "format_version": "1",\r\r\n  "dim": 2,,\r}', id="lone_cr"),
+        pytest.param(b'{"label": "a\rb"}', id="cr_in_string"),
+        pytest.param(b'\xef\xbb\xbf{"format_version": "1"}', id="bom"),
     ],
 )
 def test_unreadable_document_is_a_parse_error(tmp_path, payload):
+    # The message is the one a UTF-8 text-mode read and json.load give: line,
+    # column and character offsets count newlines as text mode translates them.
     spec = tmp_path / "bad.json"
     spec.write_bytes(payload)
     report = run_to_report(tmp_path, ["check", "--channel", str(spec)], expect_code=1)
     assert report["status"] == "error"
     assert report["error"]["code"] == "ParseError"
-    assert report["error"]["message"].startswith(f"{spec}: invalid JSON")
+    assert report["error"]["message"] == text_mode_message(spec)
+    with pytest.raises(q.ParseError) as info:
+        q.load_channel(spec)
+    assert str(info.value) == text_mode_message(spec)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["dilate", "--channel", str(channel_path("amplitude_damping.json"))],
+        ["measure", "--instrument", str(instrument_path("computational_basis.json")),
+         "--state", str(state_path("plus.json"))],
+    ],
+    ids=["dilate", "measure"],
+)
+def test_each_input_file_is_opened_once(tmp_path, monkeypatch, args):
+    inputs = {arg for arg in args if arg.endswith(".json")}
+    opened = []
+    real_open = open
+
+    def counting_open(file, *rest, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *rest, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting_open)
+    report = run_to_report(tmp_path, args)
+    assert sorted(p for p in opened if p in inputs) == sorted(inputs)
+    for kind, digest in report["inputs"].items():
+        with real_open(digest["path"], "rb") as fh:
+            assert digest["sha256"] == hashlib.sha256(fh.read()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["pad", "--instrument", str(instrument_path("p0_projection.json"))],
+        ["random", "--dim", "2", "--kraus-rank", "2", "--seed", "3"],
+    ],
+    ids=["pad", "random"],
+)
+def test_unwritable_spec_out_gives_error_report(tmp_path, args):
+    spec_out = tmp_path / "missing" / "spec.json"
+    report = run_to_report(tmp_path, [*args, "--spec-out", str(spec_out)], expect_code=1)
+    assert report["options"]["spec_out"] == str(spec_out)
+    assert report["error"]["code"] == "ParseError"
+    assert report["error"]["message"].startswith(f"{spec_out}: cannot write (")
+    assert "results" not in report
 
 
 def test_reports_after_usage_errors_are_unchanged(tmp_path):

@@ -218,6 +218,11 @@ def complex_arrays(draw):
             st.tuples(st.just(1), st.integers(1, 5)),
             st.tuples(st.integers(1, 5), st.just(1)),
             st.tuples(st.integers(0, 4), st.integers(0, 4)),
+            # Wide rows, so each row's template spans many [re, im] pairs.
+            st.one_of(
+                st.tuples(st.just(1), st.integers(6, 64)),
+                st.tuples(st.integers(1, 8), st.integers(1, 8)),
+            ),
         )
     )
     parts = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
@@ -252,7 +257,8 @@ def encode_arrays(tree):
     return tree
 
 
-@settings(max_examples=200, deadline=None)
+# At least 200 examples; a larger profile, such as conftest.py's "ci", raises it.
+@settings(max_examples=max(200, settings.default.max_examples), deadline=None)
 @given(tree=json_trees(st.one_of(SCALARS, complex_arrays())))
 def test_write_json_equals_json_dumps_indent_2(tree):
     buf = StringIO()
