@@ -13,20 +13,28 @@ unit Hilbert-Schmidt norm) so maps that are *not* completely positive stay
 representable with negative weights.
 
 :class:`DensityMatrix` is the library's one density-matrix gate. A readout
-passes its input state through it once, by :func:`gated_state`; the linear
-routes take any matrix through :func:`state_matrix`.
+passes its input state through it by :func:`gated_state`, once per distinct
+content; the linear routes take any matrix through :func:`state_matrix`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .errors import BadRank, DimensionMismatch, ValidationError
-from .linalg import DEFAULT_TOL, dagger, factor_eig, max_abs, min_eigenvalue, sorted_eigh
+from .linalg import (
+    DEFAULT_TOL,
+    dagger,
+    dagger_copy,
+    factor_eig,
+    max_abs,
+    min_eigenvalue,
+    sorted_eigh,
+)
 
 # Relative cutoff below which decomposition eigenvalues count as zero rank.
 TRUNCATION_TOL = 1e-12
@@ -48,7 +56,10 @@ def _square(m, name: str) -> np.ndarray:
 
 
 class _Unshared:
-    """A fresh array no caller holds; ``np.asarray`` unwraps it, uncopied."""
+    """A fresh array no caller holds; ``np.asarray`` unwraps it, uncopied.
+
+    One handed to :class:`DensityMatrix` must be a view of immutable bytes.
+    """
 
     def __init__(self, array: np.ndarray):
         self.array = array
@@ -74,6 +85,17 @@ def _read_only(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _frozen(m: np.ndarray, given) -> np.ndarray:
+    """``m`` as a read-only view of immutable bytes, which no owner can make writeable.
+
+    ``tobytes`` is the one copy, in C order; a view of bytes handed over as
+    :class:`_Unshared` is adopted.
+    """
+    if isinstance(given, _Unshared):
+        return m
+    return np.frombuffer(m.tobytes(), dtype=m.dtype).reshape(m.shape)
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A valid quantum state: Hermitian, unit trace, positive semidefinite.
@@ -81,17 +103,23 @@ class DensityMatrix:
     This is the library's one density-matrix gate. It checks the shape, then
     max|m - m^dagger| (a NaN or inf entry fails it, and only then is refused as
     non-finite), the trace and the Hermitian part's smallest eigenvalue, against
-    ``DEFAULT_TOL``; every comparison fails on NaN. ``mat`` is read-only,
-    copied once from a caller's array or a view.
+    ``DEFAULT_TOL``; every comparison fails on NaN. ``mat`` is copied once,
+    into immutable bytes it is a read-only view of: numpy refuses to make it
+    writeable again, so a state cannot change after it has passed. A copy or
+    an unpickled state passes the gate again.
     """
 
     mat: np.ndarray
 
     def __post_init__(self):
-        mat = _owned(_square(self.mat, "density matrix"), self.mat)
+        mat = _frozen(_square(self.mat, "density matrix"), self.mat)
         object.__setattr__(self, "mat", mat)
+        # m^dagger - m in place: the defect of m - m^dagger, one temporary.
+        diff = dagger_copy(mat)
         with np.errstate(invalid="ignore"):  # inf - inf: a quiet NaN
-            herm = max_abs(mat - dagger(mat))
+            diff -= mat
+        herm = max_abs(diff)
+        del diff
         if not herm <= DEFAULT_TOL:
             _require_finite(mat, "density matrix")
             raise ValidationError(f"density matrix must be Hermitian (deviation {herm:.3e})")
@@ -103,6 +131,10 @@ class DensityMatrix:
             raise ValidationError(
                 f"density matrix must be positive semidefinite (min eigenvalue {min_eig:.3e})"
             )
+
+    def __reduce__(self):
+        # A copy or an unpickled state is gated again, into bytes of its own.
+        return DensityMatrix, (self.mat,)
 
     @property
     def dim(self) -> int:
@@ -319,12 +351,24 @@ def state_matrix(rho, dim: int) -> np.ndarray:
 def gated_state(rho, dim: int) -> np.ndarray:
     """The matrix of a DensityMatrix or array-like state, gated as a density matrix.
 
-    A :class:`DensityMatrix` has passed its gate and gives its own ``mat``;
-    any other state of shape (dim, dim) passes it here.
+    A :class:`DensityMatrix` has passed its gate and gives its own ``mat``.
+    Any other state of shape (dim, dim) is gated once per distinct content:
+    its C-order bytes are the key of a one-slot memo holding the last state
+    accepted, at most 16 dim^2 bytes. The same bytes again, from any array,
+    give that state's read-only ``mat`` without a second gate; an array
+    edited in place has new bytes and is gated again. A refusal raises and
+    is never kept.
     """
     if isinstance(rho, DensityMatrix):
         return state_matrix(rho, dim)
-    return DensityMatrix(state_matrix(rho, dim)).mat
+    return _gated_bytes(state_matrix(rho, dim).tobytes())
+
+
+@lru_cache(maxsize=1)
+def _gated_bytes(blob: bytes) -> np.ndarray:
+    """The gated matrix of a C-order complex state's bytes, a read-only view of ``blob``."""
+    dim = math.isqrt(len(blob) // 16)
+    return DensityMatrix(_Unshared(np.frombuffer(blob, complex).reshape(dim, dim))).mat
 
 
 def _transfer_stack(bmats, n: int) -> np.ndarray:

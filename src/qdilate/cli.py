@@ -302,22 +302,37 @@ def save_report(report: dict, path=None) -> None:
             write_json(report, fh)
 
 
+def _fail(report: dict, exc: QDilateError) -> int:
+    """Make ``report`` an error report of ``exc``, dropping any results; exit status 1."""
+    report.pop("results", None)
+    report["status"] = "error"
+    report["error"] = {"code": type(exc).__name__, "message": str(exc)}
+    return 1
+
+
 def run_command(argv) -> int:
-    """Parse arguments, run one subcommand, emit its report, return exit status."""
+    """Parse arguments, run one subcommand, emit its report, return exit status.
+
+    A report that cannot be written to ``--out`` is replaced by an error
+    report, a ParseError, on stdout.
+    """
     args = _parser().parse_args(argv)
     inputs = {}
     options = {}
     report = {"command": args.command, "inputs": inputs, "options": options}
     try:
-        results = _HANDLERS[args.command](args, inputs, options)
-        report["results"] = results
+        report["results"] = _HANDLERS[args.command](args, inputs, options)
         report["status"] = "ok"
         code = 0
     except QDilateError as exc:
-        report["status"] = "error"
-        report["error"] = {"code": type(exc).__name__, "message": str(exc)}
-        code = 1
-    save_report(report, args.out)
+        code = _fail(report, exc)
+    try:
+        save_report(report, args.out)
+    except OSError as exc:
+        if args.out is None:
+            raise
+        code = _fail(report, ParseError(f"{args.out}: cannot write ({exc})"))
+        save_report(report)
     return code
 
 

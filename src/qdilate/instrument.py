@@ -7,10 +7,10 @@ the identity) is realized on a single ancilla whose basis is laid out in
 sectors, one per outcome: the joint unitary sends ``|r'>|0>`` to
 ``sum sqrt(w) L[r, r'] |r>|sector slot>``, and a projective readout of the
 ancilla sector reproduces the statistics. Every readout gates its input
-state once, as a :class:`DensityMatrix`; its post states are the raw states
-divided by their probabilities, plain read-only arrays not gated again.
-Incomplete sets are completed by appending a discard map carrying the
-leftover effect.
+state as a :class:`DensityMatrix`, once per distinct content; its post
+states are the raw states divided by their probabilities, plain read-only
+arrays not gated again. Incomplete sets are completed by appending a
+discard map carrying the leftover effect.
 """
 
 from __future__ import annotations
@@ -237,9 +237,10 @@ def measure_via_dilation(dil: Dilation, rho) -> tuple:
     """Evolve rho (x) |0><0| jointly, then project the ancilla sector by sector.
 
     ``rho`` passes the density-matrix gate first, unless it is already a
-    :class:`DensityMatrix`. For each outcome the ancilla is projected onto
-    its sector and traced out, giving the weighted system state whose trace
-    is the outcome probability. Those states come from
+    :class:`DensityMatrix` or has the bytes of the last array state accepted
+    (see :func:`qdilate.channel.gated_state`). For each outcome the ancilla
+    is projected onto its sector and traced out, giving the weighted system
+    state whose trace is the outcome probability. Those states come from
     :func:`qdilate.dilation.sector_states`, which reads the isometry of U and
     never forms the D x D joint state.
     """
@@ -251,9 +252,10 @@ def measure_via_dilation(dil: Dilation, rho) -> tuple:
 def outcome_statistics(inst: Instrument, rho) -> tuple:
     """Apply each outcome map directly; the reference for measure_via_dilation.
 
-    ``rho`` is gated as in :func:`measure_via_dilation`, then all K maps are
-    applied in one batched matmul of the cached ``transfer`` stack by vec(rho),
-    whose every outcome is the GEMV :func:`apply_map` makes, bit for bit.
+    ``rho`` is gated as in :func:`measure_via_dilation`, once per distinct
+    content, then all K maps are applied in one batched matmul of the cached
+    ``transfer`` stack by vec(rho), whose every outcome is the GEMV
+    :func:`apply_map` makes, bit for bit.
     """
     n = inst.dim
     raws = np.matmul(inst._transfers, gated_state(rho, n).reshape(-1)).reshape(-1, n, n)
@@ -266,7 +268,8 @@ def sample_outcomes(dil: Dilation, rho, shots: int, seed) -> dict:
     The histogram of ``shots`` independent readouts is Multinomial(shots, p),
     so the counts are drawn at once, in time and memory O(outcomes), for any
     whole number of shots in [1, 2^63 - 1]. ``rho`` is gated as in
-    :func:`measure_via_dilation`, and only the sector states' traces are read.
+    :func:`measure_via_dilation`, once per distinct content, and only the
+    sector states' traces are read.
     Counts sum to shots, are identical for identical seeds and include
     zero-count outcomes.
     """

@@ -1,5 +1,7 @@
 """Dynamical maps: construction, application, eigen-decomposition, properties."""
 
+import copy
+import pickle
 import re
 import tracemalloc
 
@@ -396,6 +398,23 @@ def test_density_matrix_owns_a_read_only_matrix():
     frozen.flags.writeable = True
     frozen[:] = np.diag([1.0, 0.8])
     assert np.array_equal(dm.mat, np.diag([0.5, 0.5]))
+    # Nor can the held matrix be made writeable: it is a view of immutable bytes.
+    with pytest.raises(ValueError):
+        dm.mat.flags.writeable = True
+    assert dm.mat.flags.aligned and np.array_equal(dm.mat, np.diag([0.5, 0.5]))
+
+
+@pytest.mark.parametrize(
+    "copier",
+    [copy.copy, copy.deepcopy, lambda dm: pickle.loads(pickle.dumps(dm))],
+    ids=["copy", "deepcopy", "pickle"],
+)
+def test_a_copied_density_matrix_is_read_only_too(copier):
+    dm = q.random_density(3, 70)
+    dup = copier(dm)
+    assert type(dup) is q.DensityMatrix and dup.mat.tobytes() == dm.mat.tobytes()
+    with pytest.raises(ValueError):
+        dup.mat.flags.writeable = True
 
 
 def test_dynamical_map_validation():

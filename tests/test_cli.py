@@ -424,6 +424,34 @@ def test_unwritable_spec_out_gives_error_report(tmp_path, args):
     assert "results" not in report
 
 
+@pytest.mark.parametrize("kind", ["missing directory", "a directory", "under a file"])
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["check", "--channel", str(channel_path("identity.json"))],
+        ["check", "--channel", str(channel_path("missing.json"))],
+    ],
+    ids=["ok", "error"],
+)
+def test_unwritable_out_gives_error_report_on_stdout(tmp_path, capsys, args, kind):
+    (tmp_path / "file").write_text("kept\n")
+    out = {
+        "missing directory": tmp_path / "missing" / "report.json",
+        "a directory": tmp_path,
+        "under a file": tmp_path / "file" / "report.json",
+    }[kind]
+    assert run_command([*args, "--out", str(out)]) == 1
+    text = capsys.readouterr().out
+    report = json.loads(text)
+    assert text == json.dumps(report, indent=2) + "\n"
+    assert report["command"] == "check" and report["options"] == {}
+    assert report["status"] == "error" and "results" not in report
+    assert report["error"]["code"] == "ParseError"
+    assert report["error"]["message"].startswith(f"{out}: cannot write (")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["file"]
+    assert (tmp_path / "file").read_text() == "kept\n"
+
+
 def test_reports_after_usage_errors_are_unchanged(tmp_path):
     args = ["dilate", "--channel", str(channel_path("bit_flip.json"))]
     before = run_to_report(tmp_path, args)

@@ -530,24 +530,41 @@ def test_a_post_state_is_gated_when_it_is_read_out_again():
                 readout(inst, post)
 
 
-def test_each_readout_makes_one_eigvalsh_call(monkeypatch):
-    # An array state costs one (N, N) call, the input gate's; a
-    # DensityMatrix has passed it and costs none.
+def test_each_distinct_array_state_makes_one_eigvalsh_call(monkeypatch):
+    # The input gate's one (N, N) call is paid once per distinct content: the
+    # same bytes again, from the same array or another, through any readout,
+    # cost none; the array edited in place costs one more; a DensityMatrix
+    # has passed the gate and costs none.
     inst = make_split_instrument(4, 4, 18_000)
     dil = q.build_instrument_dilation(inst)
     rho = q.random_density(4, 18_001)
+    state = rho.mat.copy()
     calls = []
     eigvalsh = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or eigvalsh(m))
-    for readout in (
+    readouts = (
         lambda state: q.measure_via_dilation(dil, state),
         lambda state: q.outcome_statistics(inst, state),
         lambda state: q.sample_outcomes(dil, state, 1000, 1),
-    ):
-        for state, expected in ((rho.mat, [(4, 4)]), (rho, [])):
-            calls.clear()
-            readout(state)
-            assert calls == expected
+    )
+
+    def cost(readout, state):
+        calls.clear()
+        readout(state)
+        return calls.copy()
+
+    channel._gated_bytes.cache_clear()
+    assert cost(readouts[0], state) == [(4, 4)]
+    for readout in readouts:
+        for same in (state, state.copy(), rho.mat, state.tolist()):
+            assert cost(readout, same) == []
+        assert cost(readout, rho) == []
+    for readout in readouts:
+        state *= 0.5
+        state += 0.125 * np.eye(4)
+        assert cost(readout, state) == [(4, 4)]
+        assert cost(readout, state) == []
+        assert cost(readout, rho) == []
 
 
 def test_each_map_is_eigendecomposed_once(monkeypatch):
