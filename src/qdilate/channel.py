@@ -29,8 +29,8 @@ from .errors import BadRank, DimensionMismatch, ValidationError
 from .linalg import (
     DEFAULT_TOL,
     dagger,
-    dagger_copy,
     factor_eig,
+    hermiticity_defect,
     max_abs,
     min_eigenvalue,
     sorted_eigh,
@@ -56,10 +56,7 @@ def _square(m, name: str) -> np.ndarray:
 
 
 class _Unshared:
-    """A fresh array no caller holds; ``np.asarray`` unwraps it, uncopied.
-
-    One handed to :class:`DensityMatrix` must be a view of immutable bytes.
-    """
+    """A fresh array no caller holds; ``np.asarray`` unwraps it, uncopied."""
 
     def __init__(self, array: np.ndarray):
         self.array = array
@@ -71,13 +68,13 @@ class _Unshared:
 def _owned(m: np.ndarray, given) -> np.ndarray:
     """``m``, converted from ``given``, as a read-only array no caller holds.
 
-    The caller's own array is copied once, whatever its flags, since its
-    owner can make it writeable again; so is a view. An array the conversion
-    made, or one handed over as :class:`_Unshared` (a view too), is adopted.
+    An array handed over as :class:`_Unshared` is adopted, its writeable flag
+    cleared. Anything else is copied once, in C order, into immutable bytes:
+    numpy refuses to make a view of them writeable, as any owner could its array.
     """
-    if not isinstance(given, _Unshared) and (m is given or m.base is not None):
-        m = m.copy()
-    return _read_only(m)
+    if isinstance(given, _Unshared):
+        return _read_only(m)
+    return np.frombuffer(m.tobytes(), dtype=m.dtype).reshape(m.shape)
 
 
 def _read_only(m: np.ndarray) -> np.ndarray:
@@ -85,41 +82,26 @@ def _read_only(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _frozen(m: np.ndarray, given) -> np.ndarray:
-    """``m`` as a read-only view of immutable bytes, which no owner can make writeable.
-
-    ``tobytes`` is the one copy, in C order; a view of bytes handed over as
-    :class:`_Unshared` is adopted.
-    """
-    if isinstance(given, _Unshared):
-        return m
-    return np.frombuffer(m.tobytes(), dtype=m.dtype).reshape(m.shape)
-
-
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A valid quantum state: Hermitian, unit trace, positive semidefinite.
 
     This is the library's one density-matrix gate. It checks the shape, then
-    max|m - m^dagger| (a NaN or inf entry fails it, and only then is refused as
-    non-finite), the trace and the Hermitian part's smallest eigenvalue, against
-    ``DEFAULT_TOL``; every comparison fails on NaN. ``mat`` is copied once,
-    into immutable bytes it is a read-only view of: numpy refuses to make it
-    writeable again, so a state cannot change after it has passed. A copy or
-    an unpickled state passes the gate again.
+    the :func:`~qdilate.linalg.hermiticity_defect` (a NaN or inf entry fails
+    it, and only then is refused as non-finite), the trace and the Hermitian
+    part's smallest eigenvalue, against ``DEFAULT_TOL``; every comparison
+    fails on NaN. ``mat``, like every validated array a caller gives, is
+    copied once into immutable bytes it is a read-only view of, so a state
+    cannot change after it has passed. A copy or an unpickled state passes
+    the gate again.
     """
 
     mat: np.ndarray
 
     def __post_init__(self):
-        mat = _frozen(_square(self.mat, "density matrix"), self.mat)
+        mat = _owned(_square(self.mat, "density matrix"), self.mat)
         object.__setattr__(self, "mat", mat)
-        # m^dagger - m in place: the defect of m - m^dagger, one temporary.
-        diff = dagger_copy(mat)
-        with np.errstate(invalid="ignore"):  # inf - inf: a quiet NaN
-            diff -= mat
-        herm = max_abs(diff)
-        del diff
+        herm = hermiticity_defect(mat)
         if not herm <= DEFAULT_TOL:
             _require_finite(mat, "density matrix")
             raise ValidationError(f"density matrix must be Hermitian (deviation {herm:.3e})")
@@ -133,7 +115,6 @@ class DensityMatrix:
             )
 
     def __reduce__(self):
-        # A copy or an unpickled state is gated again, into bytes of its own.
         return DensityMatrix, (self.mat,)
 
     @property
@@ -155,11 +136,12 @@ class DynamicalMap:
     A matrix off Hermitian by more than ``DEFAULT_TOL`` raises
     :class:`ValidationError`, whether it was built or read from a file; the
     defect max|B - B^dagger| is kept as ``hermiticity_defect``. ``bmat`` is
-    read-only: a caller's array or a view is copied once.
-    :func:`map_from_kraus` may attach a factor F with B = F F^dagger (up to
-    rounding), which ``spectrum`` then decomposes instead of B. The read-only
-    ``transfer`` matrix, one permuting copy of B cached on the first direct
-    application, holds 16 N^4 bytes more, as ``spectrum``'s eigenvectors do.
+    held as ``DensityMatrix.mat`` is. :func:`map_from_kraus` may attach a
+    factor F with B = F F^dagger (up to rounding), which ``spectrum`` then
+    decomposes instead of B; a copy keeps F and is validated again. The
+    read-only ``transfer`` matrix, one permuting copy of B cached on the first
+    direct application, holds 16 N^4 bytes more, as ``spectrum``'s
+    eigenvectors do.
     """
 
     bmat: np.ndarray = field(repr=False)
@@ -174,16 +156,16 @@ class DynamicalMap:
         dim = math.isqrt(side)
         if dim * dim != side:
             raise DimensionMismatch(f"dynamical matrix side {side} is not a perfect square")
-        # B^dagger - B in place: the same defect as B - B^dagger, one temporary.
-        diff = dagger(bmat)
-        diff -= bmat
-        herm = max_abs(diff)
+        herm = hermiticity_defect(bmat)
         if not herm <= DEFAULT_TOL:
             raise ValidationError(
                 "dynamical matrix must be Hermitian, i.e. the map must preserve "
                 f"Hermiticity (deviation {herm:.3e}, tol {DEFAULT_TOL:.1e})"
             )
         object.__setattr__(self, "hermiticity_defect", herm)
+
+    def __reduce__(self):
+        return _factored, (self.bmat, self._factor)
 
     @property
     def dim(self) -> int:
@@ -234,7 +216,7 @@ class CanonicalDecomposition:
     (nu, N, N). The validator checks both are finite, that nu <= N^2, and,
     from one Gram matrix of the flattened operators, that the L_a are
     Hilbert-Schmidt orthonormal to within ``DEFAULT_TOL``. Both arrays are
-    read-only: a caller's array or a view is copied once.
+    held as ``DensityMatrix.mat`` is; a copy is validated again.
     """
 
     dim: int
@@ -276,6 +258,9 @@ class CanonicalDecomposition:
                 f"eigen-operators {a} and {b} are not HS-orthogonal ({overlaps[a, b]:.3e})"
             )
 
+    def __reduce__(self):
+        return CanonicalDecomposition, (self.dim, self.weights, self.ops)
+
     @property
     def rank(self) -> int:
         return len(self.weights)
@@ -283,14 +268,8 @@ class CanonicalDecomposition:
 
 @dataclass(frozen=True)
 class MapProperties:
-    """Diagnostic flags and residuals for a dynamical map.
+    """Trace preservation and complete positivity of a dynamical map, with residuals."""
 
-    From :func:`check_properties`, ``hermiticity_preserving`` is always true:
-    :class:`DynamicalMap` refuses a matrix whose Hermiticity defect exceeds
-    ``DEFAULT_TOL``.
-    """
-
-    hermiticity_preserving: bool
     trace_preserving: bool
     completely_positive: bool
     min_eigenvalue: float
@@ -332,11 +311,16 @@ def map_from_kraus(terms, dim: int) -> DynamicalMap:
         # Conjugating back is exact, so F holds the operators' own bits.
         np.conjugate(stack, out=stack)
         stack *= np.sqrt(weights)[:, None]
-        stack.flags.writeable = False
-        factor = stack.T
+        factor = _Unshared(stack.T)
     del stack
-    dmap = DynamicalMap(_Unshared(bmat))
-    object.__setattr__(dmap, "_factor", factor)
+    return _factored(_Unshared(bmat), factor)
+
+
+def _factored(bmat, factor) -> DynamicalMap:
+    """``DynamicalMap(bmat)`` keeping ``factor`` (None, or F with B = F F^dagger), held as B is."""
+    dmap = DynamicalMap(bmat)
+    if factor is not None:
+        object.__setattr__(dmap, "_factor", _owned(np.asarray(factor), factor))
     return dmap
 
 
@@ -404,7 +388,7 @@ def canonical_decompose(dmap: DynamicalMap) -> CanonicalDecomposition:
 
 
 def check_properties(dmap: DynamicalMap) -> MapProperties:
-    """Report Hermiticity preservation, trace preservation and complete positivity.
+    """Report trace preservation and complete positivity.
 
     Reports only, never raises on unphysical maps: non-CP and non-TP maps are
     legitimate inputs elsewhere. Each flag compares its measured quantity with
@@ -416,7 +400,6 @@ def check_properties(dmap: DynamicalMap) -> MapProperties:
     trace_defect = max_abs(povm_effect(dmap) - np.eye(n))
     min_eig = dmap.min_eigenvalue
     return MapProperties(
-        hermiticity_preserving=dmap.hermiticity_defect <= DEFAULT_TOL,
         trace_preserving=trace_defect <= DEFAULT_TOL,
         completely_positive=min_eig >= -DEFAULT_TOL,
         min_eigenvalue=min_eig,

@@ -94,7 +94,6 @@ def _cmd_check(args, inputs, options):
         return {
             "kind": "channel",
             "dim": dmap.dim,
-            "hermiticity_preserving": props.hermiticity_preserving,
             "trace_preserving": props.trace_preserving,
             "completely_positive": props.completely_positive,
             "min_eigenvalue": props.min_eigenvalue,

@@ -45,6 +45,7 @@ from .linalg import (
     DEFAULT_TOL,
     complete_to_unitary,
     dagger,
+    isometry_defect,
     max_abs,
 )
 
@@ -72,10 +73,10 @@ class Dilation:
     ``isometry`` is the (sys_dim*anc_dim) x sys_dim block V whose column r' is
     the image of |r'>|0>. The sectors partition the ancilla in order, and
     anc_dim is at most len(sectors) * sys_dim^2. A channel dilation has a
-    single sector. V is read-only: a caller's array or a view is copied
-    once. Construction forms V^dagger V once, in O(D N^2); since a
-    stacked V has V^dagger V = sum_a w_a L_a^dagger L_a, a residual
-    max|V^dagger V - I| above ``DEFAULT_TOL`` raises :class:`NotTracePreserving`,
+    single sector. V is held as ``DensityMatrix.mat`` is; a copy is
+    validated again. Since a stacked V has V^dagger V = sum_a w_a L_a^dagger
+    L_a, an ``isometry_defect`` above ``DEFAULT_TOL``, the check
+    ``complete_to_unitary`` makes too, raises :class:`NotTracePreserving`,
     itself a :class:`NotIsometry`. Evolution and readout need only V; the
     unitary ``u``, whose columns (r', 0) are V, is completed and checked the
     first time it is read.
@@ -113,12 +114,15 @@ class Dilation:
             raise ValidationError(
                 f"ancilla dim {self.anc_dim} exceeds num_sectors*sys_dim^2 = {bound}"
             )
-        residual = _isometry_defect(iso)
+        residual = isometry_defect(iso)
         if not residual <= DEFAULT_TOL:
             raise NotTracePreserving(
                 f"sum of weighted L^dagger L deviates from identity by {residual:.3e} "
                 f"(tol {DEFAULT_TOL:.1e}); the isometry columns are not orthonormal"
             )
+
+    def __reduce__(self):
+        return Dilation, (self.sys_dim, self.anc_dim, self.isometry, self.sectors)
 
     @cached_property
     def u(self) -> np.ndarray:
@@ -155,11 +159,6 @@ class Dilation:
         """max|U^dagger U - I| of the completed unitary; reads ``u`` first."""
         self.u
         return self._residual
-
-
-def _isometry_defect(iso: np.ndarray) -> float:
-    """max|V^dagger V - I|, in O(D N^2)."""
-    return max_abs(dagger(iso) @ iso - np.eye(iso.shape[1]))
 
 
 def _unitarity_residual(u: np.ndarray) -> float:

@@ -68,7 +68,7 @@ class Instrument:
     differently, so a set whose defect lies within a few roundings of the
     bound can be complete and not dilate, or the reverse. An outcome is
     CP when the ``min_eigenvalue`` of its ``spectrum``, the one the dilation
-    reads, is not below ``-DEFAULT_TOL``.
+    reads, is not below ``-DEFAULT_TOL``. A copy is validated again.
     """
 
     dim: int
@@ -99,9 +99,11 @@ class Instrument:
         if self.padded_index is not None and not 0 <= self.padded_index < len(maps):
             raise ValidationError(f"padded_index {self.padded_index} out of range")
         defect = np.eye(self.dim) - sum(povm_effect(dmap) for _, dmap in maps)
-        defect.flags.writeable = False
-        object.__setattr__(self, "defect", defect)
+        object.__setattr__(self, "defect", _read_only(defect))
         object.__setattr__(self, "complete", bool(max_abs(defect) <= DEFAULT_TOL))
+
+    def __reduce__(self):
+        return Instrument, (self.dim, self.maps, self.padded_index)
 
     @property
     def num_outcomes(self) -> int:

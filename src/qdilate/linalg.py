@@ -39,6 +39,22 @@ def dagger_copy(m) -> np.ndarray:
     return np.conjugate(np.asarray(m).T, order="C")
 
 
+def hermiticity_defect(m) -> float:
+    """max|m - m^dagger|, formed as m^dagger - m in place (the same bits).
+
+    NaN or inf, with no warning, if m is not finite or the difference overflows.
+    """
+    diff = dagger_copy(m)
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is a quiet NaN
+        diff -= m
+    return max_abs(diff)
+
+
+def isometry_defect(cols: np.ndarray) -> float:
+    """max|C^dagger C - I| of a D x k column block, one BLAS product in O(D k^2)."""
+    return max_abs(dagger(cols) @ cols - np.eye(cols.shape[1]))
+
+
 def min_eigenvalue(m) -> float:
     """Smallest eigenvalue of the Hermitian part ``(m + m^dagger) / 2``."""
     # m^dagger + m in place: the bits of m + m^dagger (addition commutes).
@@ -76,13 +92,13 @@ def hermitian_eig(h: np.ndarray):
     the eigenvectors follow :func:`_eigenbasis_conventions`.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvectors as orthonormal
-    columns satisfying ``h = V diag(w) V^dagger``. A matrix off Hermitian by
-    more than ``DEFAULT_TOL`` raises :class:`NotHermitian`.
+    columns satisfying ``h = V diag(w) V^dagger``. A :func:`hermiticity_defect`
+    above ``DEFAULT_TOL``, or NaN, raises :class:`NotHermitian`.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {h.shape}")
-    defect = max_abs(h - dagger(h))
+    defect = hermiticity_defect(h)
     if not defect <= DEFAULT_TOL:
         raise NotHermitian(
             f"matrix deviates from Hermitian by {defect:.3e} (tol {DEFAULT_TOL:.1e})"
@@ -211,10 +227,10 @@ def complete_to_unitary(columns: np.ndarray) -> np.ndarray:
     The first ``k`` columns of the result are the input columns unchanged.
     The other D - k are the complement ``Q[:, k:]`` of the Householder QR of
     the input, formed in compact-WY form as ``I[:, k:] - W T W[k:, :]^dagger``
-    in O(D^2 k). Only elementwise ufuncs, reductions and ``np.einsum`` run
-    here, never BLAS or LAPACK, so the result is bit-identical at any BLAS
-    thread count. Columns off orthonormal by more than ``DEFAULT_TOL`` raise
-    :class:`NotIsometry`.
+    in O(D^2 k) from elementwise ufuncs, reductions and ``np.einsum``, never
+    BLAS or LAPACK, so it is bit-identical at any BLAS thread count. Only the
+    input check is a BLAS product: an :func:`isometry_defect` above
+    ``DEFAULT_TOL``, as in the ``Dilation`` validator, raises :class:`NotIsometry`.
     """
     cols = np.array(columns, dtype=complex)
     if cols.ndim != 2:
@@ -222,8 +238,7 @@ def complete_to_unitary(columns: np.ndarray) -> np.ndarray:
     dim, k = cols.shape
     if k > dim:
         raise NotIsometry(f"{k} columns cannot be orthonormal in dimension {dim}")
-    gram = np.einsum("ia,ib->ab", cols.conj(), cols)
-    defect = max_abs(gram - np.eye(k))
+    defect = isometry_defect(cols)
     if not defect <= DEFAULT_TOL:
         raise NotIsometry(
             f"columns deviate from orthonormal by {defect:.3e} (tol {DEFAULT_TOL:.1e})"

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import qdilate as q
 from qdilate import channel, linalg
 
-from conftest import IDENTITY2, P0, P1, X
+from conftest import IDENTITY2, P0, P1, X, make_split_instrument
 
 
 def matrix_unit(r, s):
@@ -251,14 +251,12 @@ def test_canonical_decompose_hands_its_arrays_over_without_a_copy(monkeypatch):
 
 def test_check_properties_identity_all_true():
     props = q.check_properties(q.map_from_kraus([(1.0, IDENTITY2)], 2))
-    assert props.hermiticity_preserving
     assert props.trace_preserving
     assert props.completely_positive
 
 
 def test_check_properties_transpose_not_cp():
     props = q.check_properties(transpose_map())
-    assert props.hermiticity_preserving
     assert props.trace_preserving
     assert not props.completely_positive
     assert abs(props.min_eigenvalue + 1.0) < 1e-9
@@ -303,7 +301,6 @@ def test_random_cptp_rank_one_preserves_spectrum():
 def test_random_cptp_always_valid():
     for seed in range(5):
         props = q.check_properties(q.random_cptp(2, 4, seed))
-        assert props.hermiticity_preserving
         assert props.trace_preserving
         assert props.completely_positive
 
@@ -404,17 +401,58 @@ def test_density_matrix_owns_a_read_only_matrix():
     assert dm.mat.flags.aligned and np.array_equal(dm.mat, np.diag([0.5, 0.5]))
 
 
+def _copied_cases():
+    """One instance of each validated type, and the arrays it holds, immutable first."""
+    kraus_map = q.random_cptp(3, 4, 71)  # rank 4 < 9: spectrum from its Kraus factor
+    dec = q.canonical_decompose(kraus_map)
+    maps = [(label, q.DynamicalMap(dmap.bmat.copy()))
+            for label, dmap in make_split_instrument(2, 2, 73).maps]
+    return [
+        (q.random_density(3, 70), lambda dm: [dm.mat]),
+        (kraus_map, lambda m: [m.bmat, *m.spectrum]),
+        (q.DynamicalMap(q.random_cptp(3, 9, 72).bmat.copy()), lambda m: [m.bmat]),
+        (dec, lambda d: [d.weights, d.ops]),
+        (q.build_dilation_unitary(dec), lambda d: [d.isometry]),
+        (q.Instrument(dim=2, maps=maps), lambda i: [*(m.bmat for _, m in i.maps), i.defect]),
+    ]
+
+
 @pytest.mark.parametrize(
     "copier",
     [copy.copy, copy.deepcopy, lambda dm: pickle.loads(pickle.dumps(dm))],
     ids=["copy", "deepcopy", "pickle"],
 )
 def test_a_copied_density_matrix_is_read_only_too(copier):
-    dm = q.random_density(3, 70)
-    dup = copier(dm)
-    assert type(dup) is q.DensityMatrix and dup.mat.tobytes() == dm.mat.tobytes()
-    with pytest.raises(ValueError):
-        dup.mat.flags.writeable = True
+    # So is a copied map, decomposition, dilation or instrument: each is
+    # rebuilt through its validator, and a map keeps its Kraus factor.
+    for obj, arrays in _copied_cases():
+        dup = copier(obj)
+        assert type(dup) is type(obj)
+        for mine, theirs in zip(arrays(dup), arrays(obj), strict=True):
+            assert mine.tobytes() == theirs.tobytes() and not mine.flags.writeable
+        with pytest.raises(ValueError):
+            arrays(dup)[0].flags.writeable = True
+
+
+def test_edited_copy_arguments_are_refused_by_the_validators():
+    dmap = q.random_cptp(3, 4, 74)
+    rebuild, (bmat, factor) = dmap.__reduce__()
+    bmat = bmat.copy()
+    bmat[0, 1] += 1e-6
+    with pytest.raises(q.ValidationError, match="must be Hermitian"):
+        rebuild(bmat, factor)
+    dec = q.canonical_decompose(dmap)
+    rebuild, (dim, weights, ops) = dec.__reduce__()
+    with pytest.raises(q.ValidationError, match="unit HS norm"):
+        rebuild(dim, weights, ops * 2)
+    dil = q.build_dilation_unitary(dec)
+    rebuild, (sys_dim, anc_dim, iso, sectors) = dil.__reduce__()
+    with pytest.raises(q.NotTracePreserving):
+        rebuild(sys_dim, anc_dim, iso * 2, sectors)
+    inst = make_split_instrument(2, 2, 75)
+    rebuild, (dim, maps, padded_index) = inst.__reduce__()
+    with pytest.raises(q.ValidationError, match="unique"):
+        rebuild(dim, (maps[0], maps[0]), padded_index)
 
 
 def test_dynamical_map_validation():
@@ -426,18 +464,17 @@ def test_dynamical_map_validation():
 
 def test_the_hermiticity_defect_is_measured_once_per_map(monkeypatch):
     # The validator measures it; check_properties and the eigh route of the
-    # spectrum read it back instead of forming B - B^dagger again.
+    # spectrum do not form B - B^dagger again.
     bmat = q.random_cptp(3, 9, 31).bmat.copy()
     bmat[0, 1] += 1e-12
     sides = []
     for module in (channel, linalg):
         monkeypatch.setattr(module, "max_abs", lambda m: sides.append(np.shape(m)) or q.max_abs(m))
     dmap = q.DynamicalMap(bmat)
-    props = q.check_properties(dmap)
+    q.check_properties(dmap)
     q.canonical_decompose(dmap)
     assert sides.count((9, 9)) == 1
     assert dmap.hermiticity_defect == q.max_abs(bmat - q.dagger(bmat)) > 1e-13
-    assert props.hermiticity_preserving
 
 
 @pytest.fixture
@@ -456,7 +493,7 @@ def test_density_matrix_gates_refuse_nan(without_finiteness_check):
     without_finiteness_check.setattr(channel, "min_eigenvalue", lambda m: float("nan"))
     with pytest.raises(q.ValidationError, match="positive semidefinite"):
         q.DensityMatrix(np.diag([1.0, 0.0]))
-    without_finiteness_check.setattr(channel, "max_abs", lambda m: 0.0)
+    without_finiteness_check.setattr(channel, "hermiticity_defect", lambda m: 0.0)
     with pytest.raises(q.ValidationError, match="unit trace"):
         q.DensityMatrix(NAN_DIAGONAL)
 

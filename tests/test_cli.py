@@ -32,7 +32,6 @@ def test_check_channel_reports_transpose_as_non_cp(tmp_path):
     )
     assert report["status"] == "ok"
     results = report["results"]
-    assert results["hermiticity_preserving"] is True
     assert results["trace_preserving"] is True
     assert results["completely_positive"] is False
     assert abs(results["min_eigenvalue"] + 1.0) < 1e-9

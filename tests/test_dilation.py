@@ -396,8 +396,8 @@ def test_isometry_is_checked_once_per_build(monkeypatch):
         calls.append(iso.shape)
         return defect(iso)
 
-    defect = qdilate.dilation._isometry_defect
-    monkeypatch.setattr(qdilate.dilation, "_isometry_defect", counting)
+    defect = qdilate.dilation.isometry_defect
+    monkeypatch.setattr(qdilate.dilation, "isometry_defect", counting)
     dec = q.canonical_decompose(q.random_cptp(3, 5, 67))
     q.build_dilation_unitary(dec)
     assert calls == [(15, 3)]

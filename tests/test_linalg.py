@@ -71,6 +71,31 @@ def test_hermitian_eig_refuses_nan():
         q.hermitian_eig(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
+def _hermitian_but(i, j, value):
+    m = np.eye(2, dtype=complex)
+    m[i, j], m[j, i] = value, np.conj(value)
+    return m
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(0, np.nan), complex(0, np.inf)],
+                         ids=["nan", "inf", "imag-nan", "imag-inf"])
+@pytest.mark.parametrize("i, j", [(0, 0), (0, 1)], ids=["diagonal", "off-diagonal"])
+@pytest.mark.parametrize("routine", [q.hermitian_eig, q.psd_sqrt])
+def test_non_finite_entries_are_refused_as_not_hermitian(routine, i, j, value):
+    # No RuntimeWarning from inf - inf: under the suite's warning filter it
+    # would be raised in place of NotHermitian.
+    with pytest.raises(q.NotHermitian, match="by (nan|inf) "):
+        routine(_hermitian_but(i, j, value))
+
+
+def test_an_overflowing_hermiticity_defect_is_refused_without_a_warning():
+    m = np.array([[0.5, 1e308], [-1e308, 0.5]])
+    with pytest.raises(q.NotHermitian, match="by inf "):
+        q.hermitian_eig(m)
+    with pytest.raises(q.ValidationError, match=r"Hermitian \(deviation inf\)"):
+        q.DensityMatrix(m)
+
+
 def test_hermitian_eig_measures_the_hermiticity_defect_once(monkeypatch):
     calls = []
     monkeypatch.setattr(linalg, "max_abs", lambda m: calls.append(m) or q.max_abs(m))
