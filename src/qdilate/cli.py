@@ -292,7 +292,7 @@ def save_report(report: dict, path=None) -> None:
     """Serialize a report with stable field order and full float precision.
 
     The text is that of ``json.dumps(report, indent=2)``; matrices in the
-    report are ndarrays, streamed row by row.
+    report are ndarrays, streamed a block of rows at a time.
     """
     if path is None:
         write_json(report, sys.stdout)

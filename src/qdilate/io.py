@@ -6,7 +6,7 @@ come in two representations: "kraus" (a list of weighted operators) and
 "dynamical_matrix" (the dim^2 x dim^2 matrix itself). Structural problems
 raise ParseError; files that parse but break a physical invariant raise
 ValidationError naming the invariant. Spec files, like the CLI's reports, are
-written by :func:`write_json`, which streams matrices row by row.
+written by :func:`write_json`, which streams matrices a block of rows at a time.
 """
 
 from __future__ import annotations
@@ -84,10 +84,9 @@ def decode_matrix(obj, where: str) -> np.ndarray:
 def write_json(obj, fh) -> None:
     """Write the text of ``json.dumps(obj, indent=2) + "\\n"`` to ``fh``.
 
-    A 2-d ndarray is written as :func:`encode_matrix` would encode it, one
-    row at a time: a template holding the row's indented [re, im] layout,
-    built once per matrix, takes the row's floats as ``%r`` fields, which
-    format them with the ``float.__repr__`` json uses. Every other value is
+    A 2-d ndarray is written as :func:`encode_matrix` would encode it, a
+    block of rows at a time, its floats formatted by ``_floattext``, which
+    gives the ``float.__repr__`` text json uses. Every other value is
     formatted by ``json.dumps`` itself.
     """
     _write(obj, fh.write, "\n")
@@ -120,26 +119,30 @@ def _write(obj, write, nl: str) -> None:
 
 
 def _write_matrix(m: np.ndarray, write, nl: str) -> None:
+    """Write ``m`` as json.dumps(indent=2) writes its [re, im] lists, in blocks of rows."""
     if m.ndim != 2:
         raise TypeError(f"only 2-d arrays can be written as matrices, got shape {m.shape}")
     if not m.size:
         _write(encode_matrix(m), write, nl)
         return
+    # Imported on first use: a process that never writes a matrix does not
+    # pay for compiling and loading the kernel.
+    from ._floattext import rows_text
+
     parts = _float_pairs(m).reshape(m.shape[0], -1)
-    finite = bool(np.isfinite(parts).all())
     row_nl, pair_nl, part_nl = nl + "  ", nl + "    ", nl + "      "
-    # One row of json.dumps(indent=2) text at this depth, a %r per float:
-    # "%r" is float.__repr__, the formatter json uses.
-    pair = "[" + part_nl + "%r," + part_nl + "%r" + pair_nl + "]"
-    row = "[" + pair_nl + ("," + pair_nl).join([pair] * m.shape[1]) + row_nl + "]"
-    template, later_rows = "[" + row_nl + row, "," + row_nl + row
-    for values in parts:
-        text = template % tuple(values.tolist())
-        if not finite:
-            text = text.replace("nan", "NaN").replace("inf", "Infinity")
-        write(text)
-        template = later_rows
-    write(nl + "]")
+    # The text before each float of a row: the close of the last row and the
+    # open of this one, the close of a pair and the open of the next, or the
+    # comma between re and im.
+    closes = pair_nl + "]" + row_nl + "],"
+    new_row = closes + row_nl + "[" + pair_nl + "[" + part_nl
+    new_pair = pair_nl + "]," + pair_nl + "[" + part_nl
+    seps = ([new_row] + ["," + part_nl, new_pair] * m.shape[1])[: parts.shape[1]]
+    head = "["  # the text before the first row, in place of `closes`
+    for text in rows_text(parts, seps):
+        write(head + text[len(closes) :] if head else text)
+        head = ""
+    write(pair_nl + "]" + row_nl + "]" + nl + "]")
 
 
 def _parse_document(blob: bytes, path) -> dict:

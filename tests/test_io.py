@@ -2,6 +2,7 @@
 
 import json
 from io import StringIO
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qdilate as q
+from qdilate import _floattext
 from qdilate.cli import run_command
 from qdilate.io import write_json
 
@@ -207,7 +209,14 @@ def test_load_state_rejects_invalid_state(tmp_path):
         q.load_state(path)
 
 
-SPECIAL_FLOATS = (0.0, -0.0, 5e-324, 1e-5, 1e16, 1e22, np.nan, np.inf, -np.inf)
+SPECIAL_FLOATS = (
+    0.0, -0.0, 5e-324, 1e-5, 1e16, 1e22, np.nan, np.inf, -np.inf,
+    # Powers of two, whose rounding windows are lopsided, and the floats next
+    # to where repr switches between its positional and exponent layouts.
+    0.5, 2.0**-30, 2.0**60, 2.0**-1022,
+    float(np.nextafter(1e-4, 0)), 1e-4, float(np.nextafter(1e-4, 1)),
+    float(np.nextafter(1e16, 0)), float(np.nextafter(1e16, 2e16)),
+)
 
 
 @st.composite
@@ -261,9 +270,13 @@ def encode_arrays(tree):
 @settings(max_examples=max(200, settings.default.max_examples), deadline=None)
 @given(tree=json_trees(st.one_of(SCALARS, complex_arrays())))
 def test_write_json_equals_json_dumps_indent_2(tree):
-    buf = StringIO()
-    write_json(tree, buf)
-    assert buf.getvalue() == json.dumps(encode_arrays(tree), indent=2) + "\n"
+    want = json.dumps(encode_arrays(tree), indent=2) + "\n"
+    # Small arrays take float.__repr__'s path; with no minimum, the kernel's.
+    for kernel_min in (_floattext._KERNEL_MIN, 0):
+        buf = StringIO()
+        with mock.patch.object(_floattext, "_KERNEL_MIN", kernel_min):
+            write_json(tree, buf)
+        assert buf.getvalue() == want
 
 
 def test_write_json_refuses_arrays_that_are_not_matrices():
