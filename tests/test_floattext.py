@@ -137,7 +137,7 @@ def full_rank_unitary(n, seed) -> np.ndarray:
 
 @pytest.mark.parametrize("n", [6, 8])
 def test_memory_is_set_by_the_block_not_the_matrix(n):
-    # D = 216 and 512: the same bound holds for a 2.4x larger U, which alone
+    # D = 216 and 512: the same bound holds for a U with 5.6 times the floats, which alone
     # is 4 MiB at D = 512; they peak at about 5.2 and 5.5 MiB.
     u = full_rank_unitary(n, seed=29)
     assert traced_peak(lambda: write_json({"u": u}, Discard())) < 8 * 2**20
